@@ -11,8 +11,6 @@
 #   fmt            cargo fmt --check
 #   build          tier-1 release build (ROADMAP.md)
 #   test           tier-1 test suite (debug profile, small default knobs)
-#   pool-off       generic linearizability/stress/scan harness with the
-#                  SCX-record pool disabled (A/B of both reclamation paths)
 #   debug-stress   llx-scx suite again with a longer churn phase: the
 #                  generation-stamp ABA detectors and reclamation
 #                  ledgers only exist under debug_assertions, and rare
@@ -70,13 +68,12 @@
 #                  regime); also reruns the small rounds with
 #                  LLX_LIN_CHECKER=jit and the WGL/JIT differential +
 #                  corpus suites in release
-#   bench-diff     bench-regression gate: two fresh `lat --json` runs
-#                  plus two fresh loopback `serve --json` runs
-#                  against the latest committed BENCH_PR*.json; fails
-#                  if any cell's p99 regressed >20% and by more than
-#                  LLX_BENCH_DIFF_FLOOR_NS (per-cell min across the
-#                  fresh runs — noise only inflates p99;
-#                  LLX_BENCH_DIFF_WAIVE=1 waives a failure)
+#   bench-check    the repository benchmark's own gate
+#                  (benchmark/check.sh: fmt, clippy, unit tests and a
+#                  smoke run of every BENCHMARK.json workload), so a
+#                  change that breaks an API benchmark/ compiles
+#                  against fails here. Regressions are judged by the
+#                  benchmark's parent-vs-change runs, not by ci.
 #   model          deterministic schedule exploration (crates/modelcheck):
 #                  builds the workspace with `--cfg llx_model` so every
 #                  atomic routes through the instrumented sync facades,
@@ -97,7 +94,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test pool-off debug-stress scanwin shard bg-reclaim doctest examples benches compare-smoke latency serve chaos lin-long bench-diff model audit clippy)
+ALL_STAGES=(fmt build test debug-stress scanwin shard bg-reclaim doctest examples benches compare-smoke latency serve chaos lin-long bench-check model audit clippy)
 QUICK_STAGES=(fmt build test)
 
 QUICK=0
@@ -148,15 +145,6 @@ stage_test() {
     cargo test -q
 }
 
-stage_pool_off() {
-    # The default `cargo test` already runs the generic harness with the
-    # pool enabled; re-run it with the pool DISABLED so both reclamation
-    # paths stay covered, at small knob values.
-    LLX_SCX_POOL=0 LLX_STRESS_MILLIS=80 \
-        cargo test -q -p llx-scx-repro \
-        --test linearizability --test conc_stress --test scan --test scan_cursor
-}
-
 stage_debug_stress() {
     # The `test` stage already runs this suite (debug profile) at the
     # small default knobs; re-run it with a much longer churn phase so
@@ -190,7 +178,7 @@ stage_shard() {
     # spec grammar at a 4-shard Patricia facade — WGL/JIT-cross-checked
     # linearizability, the stress conservation laws, every scan-cursor
     # edge case, and the sharded integration suite (seam resume,
-    # boundary keys, per-domain pool stats, validation report).
+    # boundary keys, validation report).
     LLX_STRUCT='sharded(patricia,4)' LLX_STRESS_MILLIS=150 \
         cargo test -q --release -p llx-scx-repro \
         --test linearizability --test conc_stress --test scan \
@@ -200,8 +188,8 @@ stage_shard() {
     # with them armed while stitched cursors cross shard seams.
     LLX_STRUCT='sharded(patricia,4)' LLX_SCAN_WINDOW=4 LLX_STRESS_MILLIS=250 \
         cargo test -q -p llx-scx-repro --test sharded --test scan_cursor
-    # Perf leg: the facade's per-op overhead (route + affinity TLS) on
-    # the wide-range read row must stay bounded — the gate catches
+    # Perf leg: the facade's per-op overhead (routing) on the
+    # wide-range read row must stay bounded — the gate catches
     # pathological regressions (e.g. routing gone O(shards)), not the
     # single-digit facade tax. Best-of-3 per column with 25% tolerance:
     # observed overhead swings 5-15% run-to-run on the 1-core host, so
@@ -439,47 +427,8 @@ stage_lin_long() {
     echo "    lin-long: 2048-event rounds (JIT), differential + corpus + partition suites ok"
 }
 
-stage_bench_diff() {
-    # Bench-regression gate: fresh `lat` runs plus fresh loopback
-    # `serve` runs (two specs, one sharded) vs the latest committed
-    # BENCH_PR*.json baseline — the diff unions cells across the NEW
-    # files, so serve cells gate the service tier next to the raw
-    # structures. Two fresh runs per table, per-cell min (scheduler
-    # noise only ever inflates a p99), >20% + absolute-floor rule;
-    # LLX_BENCH_DIFF_WAIVE=1 downgrades a failure to a warning.
-    local baseline n1 n2 n3 s1 s2 s3
-    baseline="$(ls BENCH_PR*.json | sort -V | tail -1)"
-    if [[ -z "$baseline" ]]; then
-        echo "no committed BENCH_PR*.json baseline found" >&2
-        return 1
-    fi
-    cargo build -q --release -p bench-harness
-    n1="$(mktemp)"; n2="$(mktemp)"; n3="$(mktemp)"
-    s1="$(mktemp)"; s2="$(mktemp)"; s3="$(mktemp)"
-    LLX_BENCH_CELL_MILLIS=120 \
-        target/release/bench-harness lat --json "$n1" >/dev/null
-    LLX_BENCH_CELL_MILLIS=120 \
-        target/release/bench-harness lat --json "$n2" >/dev/null
-    LLX_BENCH_CELL_MILLIS=120 LLX_STRUCT='scx-multiset,sharded(patricia,4)' \
-        timeout 180 target/release/bench-harness serve --json "$s1" >/dev/null
-    LLX_BENCH_CELL_MILLIS=120 LLX_STRUCT='scx-multiset,sharded(patricia,4)' \
-        timeout 180 target/release/bench-harness serve --json "$s2" >/dev/null
-    local rc=0
-    target/release/bench-harness diff "$baseline" "$n1" "$n2" "$s1" "$s2" || rc=$?
-    if [[ "$rc" -eq 1 ]]; then
-        # Escalate with a third run of each before failing: a genuine
-        # regression reproduces in every run and survives the
-        # min-of-3; a one-off scheduler spike does not.
-        echo "    bench-diff failed on 2 runs; recording a third for min-of-3"
-        LLX_BENCH_CELL_MILLIS=120 \
-            target/release/bench-harness lat --json "$n3" >/dev/null
-        LLX_BENCH_CELL_MILLIS=120 LLX_STRUCT='scx-multiset,sharded(patricia,4)' \
-            timeout 180 target/release/bench-harness serve --json "$s3" >/dev/null
-        rc=0
-        target/release/bench-harness diff "$baseline" "$n1" "$n2" "$n3" "$s1" "$s2" "$s3" || rc=$?
-    fi
-    rm -f "$n1" "$n2" "$n3" "$s1" "$s2" "$s3"
-    return "$rc"
+stage_bench_check() {
+    ./benchmark/check.sh
 }
 
 stage_model() {
@@ -534,7 +483,6 @@ run_stage() {
 run_stage fmt stage_fmt
 run_stage build stage_build
 run_stage test stage_test
-run_stage pool-off stage_pool_off
 run_stage debug-stress stage_debug_stress
 run_stage scanwin stage_scanwin
 run_stage shard stage_shard
@@ -547,7 +495,7 @@ run_stage latency stage_latency
 run_stage serve stage_serve
 run_stage chaos stage_chaos
 run_stage lin-long stage_lin_long
-run_stage bench-diff stage_bench_diff
+run_stage bench-check stage_bench_check
 run_stage model stage_model
 run_stage audit stage_audit
 run_stage clippy stage_clippy

@@ -635,44 +635,6 @@ pub fn e6_progress() {
     println!("expected shape: both complete on a preemptive scheduler, but KCSS worst-case retries grow much faster (obstruction freedom vs non-blocking helping)");
 }
 
-/// Pool-hit probe for one `lat` cell. Bare structures read the global
-/// pool counters; a sharded facade reads only the affinity domains its
-/// shards map to, so the cell's hit rate reflects its own shards'
-/// allocation traffic rather than whatever else the process pooled.
-enum PoolProbe {
-    Global(llx_scx::PoolStats),
-    Domains(Vec<llx_scx::PoolStats>),
-}
-
-impl PoolProbe {
-    fn start(spec: &StructureSpec) -> Self {
-        match spec {
-            StructureSpec::Sharded { shards, .. } => {
-                // Shard i declares affinity domain i % POOL_AFFINITY_DOMAINS,
-                // so the facade touches exactly min(shards, domains) buckets.
-                let n = (*shards).min(llx_scx::POOL_AFFINITY_DOMAINS);
-                PoolProbe::Domains((0..n).map(llx_scx::pool_domain_stats).collect())
-            }
-            StructureSpec::Base(_) => PoolProbe::Global(llx_scx::pool_stats()),
-        }
-    }
-
-    fn hit_rate(&self) -> Option<f64> {
-        match self {
-            PoolProbe::Global(before) => before.snapshot_delta().hit_rate(),
-            PoolProbe::Domains(before) => {
-                let (mut hits, mut misses) = (0u64, 0u64);
-                for (d, earlier) in before.iter().enumerate() {
-                    let delta = llx_scx::pool_domain_stats(d).delta_since(earlier);
-                    hits += delta.hits;
-                    misses += delta.misses;
-                }
-                (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64)
-            }
-        }
-    }
-}
-
 /// One latency cell: fresh prefilled structure, every operation timed
 /// into a log₂ histogram on the measured thread (no allocation, no
 /// shared state on the timed path).
@@ -726,9 +688,9 @@ fn lat_cell(spec: &StructureSpec, threads: usize, range: u64, pipeline: bool) ->
 /// already started in background mode only that column runs. The
 /// interesting numbers are the inline column's p99.9/max — a mutator
 /// absorbing a whole ready batch inside `pin()` — against the bounded
-/// modes; and the pipeline mix's pool hit rate, which collapses
-/// without the cross-thread shard handoff (`LLX_SCX_HANDOFF=0` to
-/// A/B).
+/// modes; and the pipeline mix's pool hit rate, which the
+/// cross-thread shard handoff holds up. The pool counters are
+/// process-global, so each cell reports their delta over its own run.
 pub fn lat() {
     let budget = workloads::knobs::env_u64("LLX_EPOCH_BUDGET", 32).max(1) as usize;
     let modes: &[&str] = if crossbeam_epoch::background_active() {
@@ -751,9 +713,10 @@ pub fn lat() {
         }
         for &(mix_name, threads, pipeline) in &[("mixed-40u", 4, false), ("pipeline", 2, true)] {
             for spec in &selected {
-                let probe = PoolProbe::start(spec);
+                let pool_before = llx_scx::pool_stats();
                 let (ops, hist) = lat_cell(spec, threads, range, pipeline);
-                let pool = probe
+                let pool = pool_before
+                    .snapshot_delta()
                     .hit_rate()
                     .map(|r| format!("{:.1}%", r * 100.0))
                     .unwrap_or_else(|| "-".to_string());
@@ -789,7 +752,7 @@ pub fn lat() {
         ],
         &rows,
     );
-    println!("inline mode runs every ready deferred closure inside an unlucky pin(); budgeted caps the per-tick bite; bg moves collection to a dedicated reclaimer thread (sticky — the process stays in bg mode after this experiment). pool-hit is the cell's SCX-record pool hit rate; the pipeline mix exercises the cross-thread shard handoff (LLX_SCX_HANDOFF=0 disables for A/B)");
+    println!("inline mode runs every ready deferred closure inside an unlucky pin(); budgeted caps the per-tick bite; bg moves collection to a dedicated reclaimer thread (sticky — the process stays in bg mode after this experiment). pool-hit is the cell's SCX-record pool hit rate; the pipeline mix exercises the cross-thread shard handoff");
 }
 
 /// One `scanwin` measurement: full-structure scans racing a fixed-rate

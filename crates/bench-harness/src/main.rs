@@ -5,7 +5,6 @@
 //! See DESIGN.md §6 for the experiment index and EXPERIMENTS.md for
 //! recorded results.
 
-mod diff;
 mod experiments;
 mod json;
 mod runner;
@@ -50,15 +49,6 @@ EXPERIMENTS:
              process-global fault injector)
     all      run every experiment in order (default)
 
-    diff OLD.json NEW.json [NEW2.json ...]
-             bench-regression gate: compare the `lat` tables of --json
-             result files; exit 1 if any (epoch, mix, structure)
-             cell's p99 regressed >20% and by more than
-             LLX_BENCH_DIFF_FLOOR_NS (default 5000ns) absolute. With
-             several NEW files each cell takes its minimum across runs
-             (noise only inflates p99). LLX_BENCH_DIFF_WAIVE=1
-             downgrades failures to warnings
-
 ENVIRONMENT:
     LLX_STRUCT selects the structures for compare/scanwin/lat as a
     comma list of specs: bare registry names and sharded facades mix
@@ -97,13 +87,6 @@ fn main() {
         args.remove(i);
     }
     let which = args.first().map(String::as_str).unwrap_or("all");
-    if which == "diff" {
-        if args.len() < 3 {
-            eprintln!("diff requires OLD.json NEW.json [NEW2.json ...]\n\n{USAGE}");
-            std::process::exit(2);
-        }
-        std::process::exit(diff::run(&args[1], &args[2..]));
-    }
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -16,13 +16,10 @@
 //! * a point op touches exactly one shard: `shard_of(key) =
 //!   min(key / width, N-1)` — one divide, no search.
 //!
-//! **Per-shard reclamation affinity.** Mutating ops run under
-//! [`llx_scx::with_pool_affinity`] with the shard index, so SCX-record
-//! blocks retired by one shard's updates park in that shard's handoff
-//! bucket and are preferentially re-allocated by the same shard — the
-//! pool's free lists and parked shards stay shard-local instead of
-//! funneling through one global stack, and
-//! [`llx_scx::pool_domain_stats`] attributes pool traffic per shard.
+//! **Reclamation is not partitioned.** The SCX-record pool's free
+//! lists are per *thread*, not per shard, and its blocks are
+//! layout-uniform dead memory, so every shard draws from and feeds the
+//! same per-thread lists and the one process-wide parked list.
 //!
 //! **Stitched scans.** [`scan`](ConcurrentOrderedSet::scan) returns a
 //! cursor that concatenates per-shard windowed cursors in ascending
@@ -63,7 +60,7 @@ fn intern(s: &str) -> &'static str {
 
 /// A range-partitioned facade over `N` inner instances of any
 /// registered backend; see the [module docs](self) for the partition
-/// map, reclamation affinity and scan-stitching semantics.
+/// map and scan-stitching semantics.
 ///
 /// Build one from a spec (`sharded(patricia,8)`) via
 /// [`StructureSpec::build`], or directly with
@@ -156,16 +153,12 @@ impl ConcurrentOrderedSet for ShardedSet {
 
     fn insert(&self, key: u64, count: u64) -> u64 {
         crate::assert_in_domain(self.name, key, Some(count));
-        let i = self.shard_of(key);
-        // Affinity: the SCX-records this update allocates and retires
-        // circulate within shard `i`'s pool-handoff bucket.
-        llx_scx::with_pool_affinity(i, || self.shards[i].insert(key, count))
+        self.shards[self.shard_of(key)].insert(key, count)
     }
 
     fn remove(&self, key: u64, count: u64) -> u64 {
         crate::assert_in_domain(self.name, key, Some(count));
-        let i = self.shard_of(key);
-        llx_scx::with_pool_affinity(i, || self.shards[i].remove(key, count))
+        self.shards[self.shard_of(key)].remove(key, count)
     }
 
     fn len(&self) -> u64 {

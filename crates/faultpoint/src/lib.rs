@@ -45,7 +45,7 @@
 //! | point | site | effect when it fires |
 //! |---|---|---|
 //! | `scx.pool.alloc_miss` | `llx-scx` record pool | allocation skips the free list / shard steal and pays the global allocator (forced pool miss) |
-//! | `scx.pool.steal_fail` | `llx-scx` shard handoff | `steal_shard` returns `None` as if every affinity bucket were empty |
+//! | `scx.pool.steal_fail` | `llx-scx` shard handoff | `steal_shard` returns `None` as if no shard were parked |
 //! | `epoch.tick.skip` | `crossbeam-epoch` shim `pin()` | the amortized collection tick is skipped (reclamation delayed; `Guard::flush` is never affected) |
 //! | `epoch.bg.stall` | `crossbeam-epoch` shim reclaimer | the background reclaimer sleeps 2 ms before its drain pass |
 //! | `net.conn.drop` | `netsvc` session loop | the session drops the connection mid-batch, before answering the current request |

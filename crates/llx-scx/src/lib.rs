@@ -118,8 +118,7 @@ pub fn pin() -> Guard {
 ///
 /// `hits` / `misses` count pool allocations that did / did not reuse a
 /// recycled block; `defers` counts `defer_unchecked` calls issued for
-/// SCX-record reclamation — with pooling enabled this is roughly one per
-/// 32 retired records instead of one per record.
+/// SCX-record reclamation — roughly one per 32 retired records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Allocations served without the global allocator: from the
@@ -128,7 +127,7 @@ pub struct PoolStats {
     pub hits: u64,
     /// Allocations that fell through to the global allocator.
     pub misses: u64,
-    /// Epoch-deferred closures issued (batched or fallback).
+    /// Epoch-deferred closures issued (one per sealed batch).
     pub defers: u64,
     /// Records/blocks handed across threads: orphan adoptions at
     /// thread exit plus hot-path shard steals (free blocks published
@@ -144,8 +143,8 @@ impl PoolStats {
     ///
     /// The counters are process-global, so a raw snapshot mixes every
     /// workload the process ever ran; deltas are how one phase is
-    /// A/B-compared against another (pool on/off, handoff on/off,
-    /// background vs inline collection) without a process restart:
+    /// A/B-compared against another (e.g. background vs inline
+    /// collection) without a process restart:
     ///
     /// ```
     /// let before = llx_scx::pool_stats();
@@ -158,12 +157,8 @@ impl PoolStats {
         pool_stats().delta_since(self)
     }
 
-    /// The counter movement from `earlier` to `self` (two snapshots of
-    /// the same counter set — global or the same domain's), saturating
-    /// at zero if [`reset_pool_stats`] intervened. This is
-    /// [`snapshot_delta`](PoolStats::snapshot_delta) generalized to
-    /// per-domain snapshots ([`pool_domain_stats`]), which must not be
-    /// diffed against the global counters.
+    /// The counter movement from `earlier` to `self`, saturating at
+    /// zero if [`reset_pool_stats`] intervened.
     pub fn delta_since(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
             hits: self.hits.saturating_sub(earlier.hits),
@@ -192,53 +187,6 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Number of pool-affinity domains (see [`with_pool_affinity`]). A
-/// facade with more shards than this folds its shard index modulo
-/// `POOL_AFFINITY_DOMAINS`.
-pub const POOL_AFFINITY_DOMAINS: usize = pool::AFFINITY_DOMAINS;
-
-/// Run `f` with the calling thread's pool affinity set to
-/// `domain % POOL_AFFINITY_DOMAINS`, restoring the previous affinity on
-/// the way out (panic-safe).
-///
-/// Affinity steers the SCX-record pool's cross-thread handoff: shards
-/// published by an affined thread park in that domain's bucket, and an
-/// affined allocator steals from its own bucket before scanning the
-/// rest — so under a range-partitioned facade, blocks retired by one
-/// shard's operations are preferentially recycled by that same shard.
-/// It also attributes the pool counters to the domain, readable via
-/// [`pool_domain_stats`]. Unaffined threads (the default) share one
-/// extra bucket and only appear in the process-global [`pool_stats`].
-pub fn with_pool_affinity<R>(domain: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            pool::set_affinity(self.0);
-        }
-    }
-    let _restore = Restore(pool::set_affinity(Some(domain % POOL_AFFINITY_DOMAINS)));
-    f()
-}
-
-/// The pool counters attributed to one affinity domain — traffic from
-/// threads running under [`with_pool_affinity`]`(domain, …)` only.
-/// The process-global [`pool_stats`] additionally includes unaffined
-/// traffic, so per-domain numbers are a partition of (a subset of) the
-/// global ones.
-///
-/// # Panics
-///
-/// Panics if `domain >= POOL_AFFINITY_DOMAINS`.
-pub fn pool_domain_stats(domain: usize) -> PoolStats {
-    let [hits, misses, defers, handoffs] = pool::domain_snapshot(domain);
-    PoolStats {
-        hits,
-        misses,
-        defers,
-        handoffs,
-    }
-}
-
 /// Zero the process-global pool counters. Prefer
 /// [`PoolStats::snapshot_delta`] for phase comparisons — a reset
 /// yanks the baseline out from under every other snapshot holder —
@@ -249,7 +197,6 @@ pub fn reset_pool_stats() {
     pool::POOL_MISSES.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
     pool::POOL_DEFERS.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
     pool::POOL_HANDOFFS.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-    pool::reset_domain_counters();
 }
 
 /// Drive SCX-record reclamation to quiescence from the calling thread.

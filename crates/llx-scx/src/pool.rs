@@ -1,11 +1,11 @@
 //! Per-thread pooling of retired SCX-records.
 //!
-//! Every SCX allocates one SCX-record, and before this module every
-//! record whose reference count drained to zero was routed through its
-//! own `guard.defer_unchecked` closure — one heap-allocated closure and
-//! one reclamation-queue entry *per SCX*. Under SCX-heavy workloads that
-//! defer traffic dominates the cost of the primitive itself (the
-//! `primitives/scx` bench cliff recorded in CHANGES.md).
+//! The paper assumes a garbage collector; this module is where the
+//! reproduction pays for that assumption. Every SCX allocates one
+//! SCX-record, and routing each drained record through its own
+//! `guard.defer_unchecked` closure costs one heap-allocated closure and
+//! one reclamation-queue entry *per SCX* — traffic that dominates the
+//! primitive itself under SCX-heavy workloads.
 //!
 //! The pool batches the two epoch-deferred stages of the `reclaim`
 //! protocol and recycles the blocks:
@@ -21,9 +21,10 @@
 //!    zero with dependencies released, it is pushed onto this thread's
 //!    retirement list, batched the same way. When that epoch expires the
 //!    record is dropped in place and its raw block cached on the
-//!    collecting thread's free list (or returned to the allocator past
-//!    the cap). [`alloc`] pops from the free list and `ptr::write`s a
-//!    fresh record into the block, skipping the allocator entirely.
+//!    collecting thread's free list (or, past [`FREE_CAP`], handed to
+//!    other threads — see below). [`alloc`] pops from the free list and
+//!    `ptr::write`s a fresh record into the block, skipping the
+//!    allocator entirely.
 //!
 //! The epoch delays are **not** optional: reusing a record's address
 //! while any stale holder could still dereference or CAS-compare it
@@ -34,55 +35,63 @@
 //!
 //! Why pooling is sound across domains: `ScxRecord<M, I>` stores only
 //! words and pointers (never an `I` by value), so every instantiation
-//! has the same size and alignment. The pool stores untyped blocks and
-//! each entry carries a monomorphized shim, so a block retired by one
-//! domain can be reused by any other.
+//! has the same size and alignment ([`alloc`] asserts it at compile
+//! time). The pool stores untyped blocks and each entry carries a
+//! monomorphized shim, so a block retired by one domain can be reused
+//! by any other.
 //!
 //! Thread exit with partially filled batches parks the leftovers in a
 //! global orphan list; the next batch seal or
 //! [`crate::flush_reclamation`] adopts them with its caller's guard.
 //! This keeps the debug-build live-record ledger exact: every allocated
-//! record is eventually dropped exactly once, pool or no pool.
+//! record is eventually dropped exactly once.
 //!
 //! # Cross-thread shard handoff
 //!
 //! Free lists are per-thread, but maturation runs on whichever thread
-//! collects — so in pipeline-shaped workloads (one thread retires,
-//! another allocates) the collecting thread's free list fills to its
-//! cap while the allocating thread misses and falls back to the
-//! allocator. The handoff path closes that gap without sharing the
-//! free lists themselves:
+//! collects — so whenever one thread retires what another allocates
+//! (pipelines, and any contended structure where helpers finish each
+//! other's SCXs) the collecting thread's free list fills to
+//! [`FREE_CAP`] while the allocating thread misses. The handoff closes
+//! that gap without sharing the free lists themselves:
 //!
-//! * when a thread's free list is at capacity, a matured block goes
-//!   into the thread's bounded **outbox** instead of the allocator;
-//!   a full outbox is published wholesale as one *shard* into the
-//!   parked-shard bucket of the thread's **affinity domain** (set with
-//!   [`crate::with_pool_affinity`]; unaffined threads share one extra
-//!   bucket). Each bucket is bounded — beyond [`MAX_PARKED_SHARDS`]
+//! * a matured block that finds its thread's free list full goes into
+//!   the thread's **outbox**; an outbox of [`SHARD_BLOCKS`] blocks is
+//!   published wholesale as one *shard* onto the single process-wide
+//!   parked list. The list is bounded — beyond [`MAX_PARKED_SHARDS`]
 //!   the shard's blocks are genuinely freed;
 //! * an allocating thread that misses its free list **steals a whole
-//!   shard** — its own affinity bucket first, then a scan of the
-//!   others — before touching the allocator: one lock acquisition
+//!   shard** before touching the allocator: one lock acquisition
 //!   amortized over a shard's worth of future allocations, counted
-//!   through `POOL_HANDOFFS` and served as pool hits. Under a
-//!   range-partitioned facade the affinity index is the facade's shard
-//!   index, so freed blocks circulate within the shard that retired
-//!   them instead of round-robining through one global stack.
+//!   through `POOL_HANDOFFS` and served as pool hits.
 //!
 //! Blocks only enter the outbox *after* their destruction epoch
-//! expired (they are plain dead memory), so handing them to any other
-//! thread is trivially sound.
+//! expired (they are plain dead, layout-uniform memory), so handing
+//! them to any other thread is trivially sound — and which thread, or
+//! which structure, parked a block is irrelevant to whoever adopts it.
 //!
-//! Set `LLX_SCX_POOL=0` to disable pooling and fall back to
-//! per-record defers (used for A/B benchmarking), `LLX_SCX_POOL_CAP`
-//! to change the per-thread free-list capacity, `LLX_SCX_HANDOFF=0`
-//! to disable the shard handoff (overflow frees to the allocator, the
-//! pre-handoff behavior), and `LLX_SCX_SHARD` to change the blocks
-//! per handoff shard.
+//! # Why each mechanism is here, and why none has a switch
+//!
+//! The pool is one code path with no options: every mechanism below
+//! was A/B-measured on the repository benchmark (2 vCPUs, 18 s runs,
+//! medians) and kept because it wins; the off-switches and tuning
+//! knobs it used to carry won nothing and were deleted.
+//!
+//! * **free lists + batched defers** (vs one `Box` and one defer per
+//!   record): `mem-update` 548 k vs 398 k ops/s and p99 50 µs vs 97 µs;
+//!   `mem-contend` 1.18 M vs 0.43 M ops/s — 1.4–2.8×, ranges disjoint.
+//! * **outbox → parked shard → whole-shard steal** (vs freeing the
+//!   overflow): `mem-contend` 1.13 M vs 0.76 M ops/s, ahead in 9 of 9
+//!   same-seed pairs; no resolvable difference on the uncontended
+//!   workloads, so it runs unconditionally.
+//! * the parked list is **one** mutex-protected stack: the only
+//!   workload that drove the former per-shard affinity buckets read
+//!   0.0055 handoffs per op, and pooled blocks are interchangeable, so
+//!   bucketing chose nothing but which mutex to take.
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
 use std::alloc::Layout;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use crossbeam_epoch::Guard;
@@ -94,132 +103,66 @@ use crate::scx_record::ScxRecord;
 const LIMBO_BATCH: usize = 32;
 
 /// Maximum blocks cached per thread; beyond this, matured blocks are
-/// routed to the handoff outbox (or the allocator). `LLX_SCX_POOL_CAP`
-/// overrides.
-fn free_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("LLX_SCX_POOL_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256)
-    })
-}
+/// routed to the handoff outbox.
+const FREE_CAP: usize = 256;
 
 /// Blocks per handoff shard (the outbox publishes wholesale at this
-/// size). `LLX_SCX_SHARD` overrides.
-fn shard_blocks() -> usize {
-    static SHARD: OnceLock<usize> = OnceLock::new();
-    *SHARD.get_or_init(|| {
-        std::env::var("LLX_SCX_SHARD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(16usize)
-            .max(1)
-    })
-}
+/// size).
+const SHARD_BLOCKS: usize = 16;
 
 /// Upper bound on parked shards; beyond it, overflow blocks go back to
 /// the allocator so the handoff cannot hoard memory unboundedly.
 const MAX_PARKED_SHARDS: usize = 64;
-
-/// `LLX_SCX_HANDOFF=0` disables the shard handoff for A/B runs.
-fn handoff_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("LLX_SCX_HANDOFF").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
 
 /// A published outbox: dead, layout-uniform blocks ready for adoption
 /// by any thread. The raw pointers are owned uniquely by the shard.
 struct Shard(Vec<*mut u8>);
 unsafe impl Send for Shard {}
 
-/// Number of pool-affinity domains: threads driving shard `i` of a
-/// partitioned facade declare affinity `i % AFFINITY_DOMAINS`, so
-/// parked shards and the per-domain stats index by a small fixed range
-/// regardless of the facade's shard count.
-pub(crate) const AFFINITY_DOMAINS: usize = 16;
-
-thread_local! {
-    /// This thread's declared pool-affinity domain; `None` (the
-    /// default) parks into and steals from the shared unaffined bucket
-    /// first.
-    static AFFINITY: Cell<Option<usize>> = const { Cell::new(None) };
+/// Parked shards awaiting a stealing allocator thread.
+fn parked() -> &'static Mutex<Vec<Shard>> {
+    static PARKED: OnceLock<Mutex<Vec<Shard>>> = OnceLock::new();
+    PARKED.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Set the calling thread's pool-affinity domain, returning the
-/// previous value (for scoped restore). `domain` must be
-/// `< AFFINITY_DOMAINS`.
-pub(crate) fn set_affinity(domain: Option<usize>) -> Option<usize> {
-    debug_assert!(domain.is_none_or(|d| d < AFFINITY_DOMAINS));
-    AFFINITY.try_with(|a| a.replace(domain)).unwrap_or(None)
+/// Return every block of `blocks` to the allocator.
+fn free_blocks(blocks: Vec<*mut u8>) {
+    for p in blocks {
+        // SAFETY: pooled blocks are dead and `pool_layout`-sized.
+        unsafe { std::alloc::dealloc(p, pool_layout()) };
+    }
 }
 
-fn current_affinity() -> Option<usize> {
-    AFFINITY.try_with(|a| a.get()).unwrap_or(None)
-}
-
-/// Parked shards awaiting a stealing allocator thread, bucketed by the
-/// parking thread's affinity domain (the last bucket holds unaffined
-/// threads' shards). An allocating thread that misses its free list
-/// checks its own bucket first, so under a partitioned facade the
-/// blocks a shard's retire-heavy thread publishes flow back to that
-/// same shard's allocate-heavy threads instead of round-robining
-/// through one global stack.
-fn shard_buckets() -> &'static [Mutex<Vec<Shard>>] {
-    static BUCKETS: OnceLock<Vec<Mutex<Vec<Shard>>>> = OnceLock::new();
-    BUCKETS.get_or_init(|| {
-        (0..=AFFINITY_DOMAINS)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect()
-    })
-}
-
-/// The bucket the calling thread parks into (and steals from first).
-fn home_bucket() -> usize {
-    current_affinity().unwrap_or(AFFINITY_DOMAINS)
-}
-
-/// Route one matured block that overflowed its thread's free list:
-/// into the outbox (publishing a full outbox as a shard) when the
-/// handoff is on, to the allocator otherwise.
+/// Keep one matured block for reuse: on the calling thread's free list
+/// while it has room, otherwise in the outbox (publishing a full outbox
+/// as a shard for other threads to steal).
 ///
 /// # Safety
 ///
 /// `p` must be a dead block of [`pool_layout`] owned by the caller.
-unsafe fn overflow(p: *mut u8) {
-    if !handoff_enabled() {
-        std::alloc::dealloc(p, pool_layout());
-        return;
-    }
+unsafe fn recycle(p: *mut u8) {
     let sealed = POOL.try_with(|pool| {
         let mut pool = pool.borrow_mut();
-        pool.outbox.push(p);
-        if pool.outbox.len() >= shard_blocks() {
-            Some(std::mem::take(&mut pool.outbox))
-        } else {
-            None
+        if pool.free.len() < FREE_CAP {
+            pool.free.push(p);
+            return None;
         }
+        pool.outbox.push(p);
+        (pool.outbox.len() >= SHARD_BLOCKS).then(|| std::mem::take(&mut pool.outbox))
     });
     match sealed {
         Ok(None) => {}
         Ok(Some(blocks)) => park_shard(Shard(blocks)),
-        // Thread-local already destroyed: no outbox to buffer in.
+        // Thread-local already destroyed: nowhere to buffer the block.
         Err(_) => std::alloc::dealloc(p, pool_layout()),
     }
 }
 
-/// Park a sealed shard for stealing in the calling thread's affinity
-/// bucket; free its blocks if that bucket is full (the per-bucket
-/// bound that keeps handoff memory finite).
+/// Park a sealed shard for stealing; free its blocks if the parked
+/// list is full (the bound that keeps handoff memory finite).
 fn park_shard(shard: Shard) {
     let spill = {
-        let mut parked = shard_buckets()[home_bucket()].lock().unwrap();
+        let mut parked = parked().lock().unwrap();
         if parked.len() < MAX_PARKED_SHARDS {
             parked.push(shard);
             None
@@ -228,39 +171,22 @@ fn park_shard(shard: Shard) {
         }
     };
     if let Some(Shard(blocks)) = spill {
-        for p in blocks {
-            // SAFETY: shard blocks are dead and pool_layout-sized.
-            unsafe { std::alloc::dealloc(p, pool_layout()) };
-        }
+        free_blocks(blocks);
     }
-}
-
-/// Pop one parked shard: the calling thread's own affinity bucket
-/// first (shard-local handoff under a partitioned facade), then a scan
-/// of every other bucket so no parked block is ever stranded.
-fn pop_parked() -> Option<Shard> {
-    let buckets = shard_buckets();
-    let home = home_bucket();
-    if let Some(shard) = buckets[home].lock().unwrap().pop() {
-        return Some(shard);
-    }
-    (0..buckets.len())
-        .filter(|&b| b != home)
-        .find_map(|b| buckets[b].lock().unwrap().pop())
 }
 
 /// Steal one parked shard for the current thread: returns a block to
 /// serve the triggering allocation and caches the rest on the local
 /// free list. Bumps `POOL_HANDOFFS` by the blocks adopted.
 fn steal_shard() -> Option<*mut u8> {
-    // Injected handoff failure: behave as if every affinity bucket were
-    // empty, forcing the caller onto the allocator path. Parked shards
-    // stay parked, so nothing leaks — a later (un-injected) steal or
-    // the orphan drain still adopts them.
+    // Injected handoff failure: behave as if nothing were parked,
+    // forcing the caller onto the allocator path. Parked shards stay
+    // parked, so nothing leaks — a later (un-injected) steal still
+    // adopts them.
     if faultpoint::fire("scx.pool.steal_fail") {
         return None;
     }
-    let Shard(mut blocks) = pop_parked()?;
+    let Shard(mut blocks) = parked().lock().unwrap().pop()?;
     debug_assert!(!blocks.is_empty(), "parked shards are never empty");
     let total = blocks.len();
     let serve = blocks.pop()?;
@@ -269,7 +195,7 @@ fn steal_shard() -> Option<*mut u8> {
         .try_with(|pool| {
             let mut blocks = carry.take().expect("carry set above");
             let mut pool = pool.borrow_mut();
-            let room = free_cap().saturating_sub(pool.free.len());
+            let room = FREE_CAP.saturating_sub(pool.free.len());
             let spill = blocks.split_off(room.min(blocks.len()));
             pool.free.append(&mut blocks);
             spill
@@ -279,15 +205,7 @@ fn steal_shard() -> Option<*mut u8> {
     // Count only the blocks actually adopted (served + cached); spill
     // that goes straight back to the allocator is not a handoff.
     POOL_HANDOFFS.fetch_add((total - spill.len()) as u64, Ordering::Relaxed); // ord: pool stats counter; no sync role
-    if let Some(d) = current_affinity() {
-        domain_counters()[d]
-            .handoffs
-            .fetch_add((total - spill.len()) as u64, Ordering::Relaxed); // ord: pool stats counter; no sync role
-    }
-    for p in spill {
-        // SAFETY: shard blocks are dead and pool_layout-sized.
-        unsafe { std::alloc::dealloc(p, pool_layout()) };
-    }
+    free_blocks(spill);
     Some(serve)
 }
 
@@ -347,15 +265,6 @@ unsafe fn drop_shim<const M: usize, I>(p: *mut u8, _guard: &Guard) -> bool {
     // decided (and lost) the claim, so no thread touches this header
     // again — disposal cannot race a straggler's trailing access.
     debug_assert!(cur & RC_CLAIMED != 0 && cur & RC_DEPS_RELEASED != 0);
-    if !poolable::<M, I>() {
-        // Non-pooled block (pooling disabled, or a layout-divergent
-        // instantiation that arrived via the stage() fallback): dispose
-        // through `Box` so the allocator sees the true layout, and keep
-        // it out of the free list so `LLX_SCX_POOL=0` measures the real
-        // no-pool baseline.
-        drop(Box::from_raw(rec));
-        return false;
-    }
     std::ptr::drop_in_place(rec);
     true
 }
@@ -372,10 +281,7 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Free blocks hold no record (already destroyed in place) and
         // are past their epoch: return them to the allocator directly.
-        for &p in &self.free {
-            // SAFETY: blocks in `free` were allocated with `pool_layout`.
-            unsafe { std::alloc::dealloc(p, pool_layout()) };
-        }
+        free_blocks(std::mem::take(&mut self.free));
         // A partial outbox is still a perfectly good (short) shard:
         // publish it so surviving threads can adopt the blocks — the
         // exact pipeline case where the retiring thread exits first.
@@ -412,16 +318,6 @@ fn orphans() -> &'static Mutex<Vec<Pending>> {
     ORPHANS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn pooling_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("LLX_SCX_POOL").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
 /// Monotone counters for observability (`llx_scx::pool_stats`).
 pub(crate) static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -433,107 +329,42 @@ pub(crate) static POOL_DEFERS: AtomicU64 = AtomicU64::new(0);
 /// `StatsSnapshot` so the handoff rate is measurable per workload.
 pub(crate) static POOL_HANDOFFS: AtomicU64 = AtomicU64::new(0);
 
-/// Per-affinity-domain views of the same four counters. Only threads
-/// that declared an affinity (`llx_scx::with_pool_affinity`) bump
-/// these — the unaffined default path pays one thread-local read and
-/// nothing else — so a partitioned facade can attribute pool traffic
-/// to the shard that caused it instead of reading one process-global
-/// blend.
-struct DomainCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    defers: AtomicU64,
-    handoffs: AtomicU64,
-}
-
-fn domain_counters() -> &'static [DomainCounters] {
-    static COUNTERS: OnceLock<Vec<DomainCounters>> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        (0..AFFINITY_DOMAINS)
-            .map(|_| DomainCounters {
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                defers: AtomicU64::new(0),
-                handoffs: AtomicU64::new(0),
-            })
-            .collect()
-    })
-}
-
-/// Bump one per-domain counter iff the calling thread has an affinity.
-fn bump_domain(pick: fn(&DomainCounters) -> &AtomicU64) {
-    if let Some(d) = current_affinity() {
-        pick(&domain_counters()[d]).fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
-    }
-}
-
-/// `[hits, misses, defers, handoffs]` attributed to one affinity
-/// domain (affined threads only; the process-global counters include
-/// unaffined traffic too).
-pub(crate) fn domain_snapshot(domain: usize) -> [u64; 4] {
-    let c = &domain_counters()[domain];
-    [
-        c.hits.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-        c.misses.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-        c.defers.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-        c.handoffs.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-    ]
-}
-
-/// Zero every per-domain counter (companion of
-/// [`crate::reset_pool_stats`]).
-pub(crate) fn reset_domain_counters() {
-    for c in domain_counters() {
-        c.hits.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-        c.misses.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-        c.defers.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-        c.handoffs.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-    }
-}
-
-fn poolable<const M: usize, I>() -> bool {
-    pooling_enabled() && Layout::new::<ScxRecord<M, I>>() == pool_layout()
-}
-
 /// Allocate a block for `record` — from the thread's free list when
-/// possible, from the global allocator otherwise — and move `record`
-/// into it.
+/// possible, else from a stolen parked shard, else from the global
+/// allocator — and move `record` into it.
 pub(crate) fn alloc<const M: usize, I>(record: ScxRecord<M, I>) -> *mut ScxRecord<M, I> {
-    debug_assert_eq!(
-        Layout::new::<ScxRecord<M, I>>(),
-        pool_layout(),
-        "ScxRecord layout must be instantiation-independent for pooling"
-    );
-    if poolable::<M, I>() {
-        // Injected allocation miss: skip reuse entirely and pay the
-        // global allocator, exactly the path a cold/contended pool
-        // takes. Free-list blocks are untouched — only this
-        // allocation's routing changes, so no conservation law moves.
-        let injected_miss = faultpoint::fire("scx.pool.alloc_miss");
-        let reused = if injected_miss {
-            None
-        } else {
-            POOL.try_with(|pool| pool.borrow_mut().free.pop())
-                .ok()
-                .flatten()
-                // Local miss: adopt a whole parked shard (one lock, a
-                // shard's worth of future hits) before paying the
-                // allocator.
-                .or_else(|| handoff_enabled().then(steal_shard).flatten())
-        };
-        if let Some(block) = reused {
-            POOL_HITS.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
-            bump_domain(|c| &c.hits);
-            let p = block as *mut ScxRecord<M, I>;
-            // SAFETY: the block is unaliased (popped from the free list
-            // or adopted from a parked shard, past its retirement
-            // epoch) and has the right layout.
-            unsafe { std::ptr::write(p, record) };
-            return p;
-        }
-        POOL_MISSES.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
-        bump_domain(|c| &c.misses);
+    // Blocks move untyped between arbitrary instantiations, so every
+    // `ScxRecord<M, I>` must share `pool_layout()`; reject a divergent
+    // instantiation at compile time.
+    const {
+        assert!(size_of::<ScxRecord<M, I>>() == size_of::<ScxRecord<1, ()>>());
+        assert!(align_of::<ScxRecord<M, I>>() == align_of::<ScxRecord<1, ()>>());
     }
+    // Injected allocation miss: skip reuse entirely and pay the global
+    // allocator, exactly the path a cold/contended pool takes.
+    // Free-list blocks are untouched — only this allocation's routing
+    // changes, so no conservation law moves.
+    let reused = if faultpoint::fire("scx.pool.alloc_miss") {
+        None
+    } else {
+        POOL.try_with(|pool| pool.borrow_mut().free.pop())
+            .ok()
+            .flatten()
+            // Local miss: adopt a whole parked shard (one lock, a
+            // shard's worth of future hits) before paying the
+            // allocator.
+            .or_else(steal_shard)
+    };
+    if let Some(block) = reused {
+        POOL_HITS.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
+        let p = block as *mut ScxRecord<M, I>;
+        // SAFETY: the block is unaliased (popped from the free list or
+        // adopted from a parked shard, past its retirement epoch) and
+        // has the record's layout (asserted above).
+        unsafe { std::ptr::write(p, record) };
+        return p;
+    }
+    POOL_MISSES.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
     Box::into_raw(Box::new(record))
 }
 
@@ -555,18 +386,10 @@ pub(crate) fn ensure_reclaimer_hook() {
 }
 
 /// Stage a pending entry on one of the thread's lists; seal a batch
-/// when full. Falls back to one defer per record if the thread-local is
-/// gone (teardown) or pooling is disabled.
-fn stage<const M: usize, I>(
-    entry: Pending,
-    pick: fn(&mut ThreadPool) -> &mut Vec<Pending>,
-    guard: &Guard,
-) {
+/// when full. Defers the entry on its own only if the thread-local is
+/// gone (teardown).
+fn stage(entry: Pending, pick: fn(&mut ThreadPool) -> &mut Vec<Pending>, guard: &Guard) {
     ensure_reclaimer_hook();
-    if !poolable::<M, I>() {
-        defer_batch(vec![entry], guard);
-        return;
-    }
     let mut slot = Some(entry);
     let sealed = POOL.try_with(|pool| {
         let mut pool = pool.borrow_mut();
@@ -606,7 +429,7 @@ pub(crate) unsafe fn schedule_dep_release<const M: usize, I>(
     rec: *mut ScxRecord<M, I>,
     guard: &Guard,
 ) {
-    stage::<M, I>(
+    stage(
         Pending {
             ptr: rec as *mut u8,
             act: dep_shim::<M, I>,
@@ -632,24 +455,11 @@ pub(crate) unsafe fn retire<const M: usize, I>(rec: *mut ScxRecord<M, I>, guard:
     {
         let p = rec as *mut u8;
         if drop_shim::<M, I>(p, guard) {
-            let cached = POOL
-                .try_with(|pool| {
-                    let mut pool = pool.borrow_mut();
-                    if pool.free.len() < free_cap() {
-                        pool.free.push(p);
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .unwrap_or(false);
-            if !cached {
-                overflow(p);
-            }
+            recycle(p);
         }
     }
     #[cfg(not(llx_model_bugs))]
-    stage::<M, I>(
+    stage(
         Pending {
             ptr: rec as *mut u8,
             act: drop_shim::<M, I>,
@@ -663,7 +473,7 @@ pub(crate) unsafe fn retire<const M: usize, I>(rec: *mut ScxRecord<M, I>, guard:
 /// and recycle destruction-stage blocks.
 fn defer_batch(batch: Vec<Pending>, guard: &Guard) {
     POOL_DEFERS.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
-    bump_domain(|c| &c.defers);
+
     // SAFETY: each staged record passed its stage's zero-crossing; by
     // the time the closure runs, no thread pinned at defer time remains
     // pinned, so no stale holder — via `r.info` or a newer record's
@@ -672,24 +482,8 @@ fn defer_batch(batch: Vec<Pending>, guard: &Guard) {
         guard.defer_unchecked(move || {
             let g = crossbeam_epoch::pin();
             for entry in batch {
-                if !(entry.act)(entry.ptr, &g) {
-                    continue;
-                }
-                let cached = POOL
-                    .try_with(|pool| {
-                        let mut pool = pool.borrow_mut();
-                        if pool.free.len() < free_cap() {
-                            pool.free.push(entry.ptr);
-                            true
-                        } else {
-                            false
-                        }
-                    })
-                    .unwrap_or(false);
-                if !cached {
-                    // Free list full: offer the block to other threads
-                    // through the handoff outbox instead of freeing it.
-                    overflow(entry.ptr);
+                if (entry.act)(entry.ptr, &g) {
+                    recycle(entry.ptr);
                 }
             }
         });
@@ -719,11 +513,6 @@ pub(crate) fn drain_orphans(guard: &Guard) {
     let parked = std::mem::take(&mut *orphans().lock().unwrap());
     if !parked.is_empty() {
         POOL_HANDOFFS.fetch_add(parked.len() as u64, Ordering::Relaxed); // ord: pool stats counter; no sync role
-        if let Some(d) = current_affinity() {
-            domain_counters()[d]
-                .handoffs
-                .fetch_add(parked.len() as u64, Ordering::Relaxed); // ord: pool stats counter; no sync role
-        }
         defer_batch(parked, guard);
     }
 }

@@ -124,14 +124,20 @@ pub struct StatsSnapshot {
     pub pool_misses: u64,
     /// Epoch-deferred closures issued for SCX-record reclamation.
     pub pool_defers: u64,
-    /// Records handed off across threads through the orphan list.
+    /// Records and blocks handed across threads: orphan adoptions plus
+    /// shard steals.
     pub pool_handoffs: u64,
 }
 
 impl StatsSnapshot {
-    /// Counter-wise difference `self - earlier`; panics on underflow in
-    /// debug builds (counters are monotone).
+    /// Counter-wise difference `self - earlier`. The per-domain
+    /// counters are monotone, so underflow there panics in debug builds;
+    /// the process-global `pool_*` counters can be zeroed by
+    /// [`reset_pool_stats`](crate::reset_pool_stats) between two
+    /// snapshots and saturate at zero, as
+    /// [`PoolStats::delta_since`](crate::PoolStats::delta_since) does.
     pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+        let pool = self.pool().delta_since(&earlier.pool());
         StatsSnapshot {
             llx_attempts: self.llx_attempts - earlier.llx_attempts,
             llx_snapshots: self.llx_snapshots - earlier.llx_snapshots,
@@ -149,10 +155,20 @@ impl StatsSnapshot {
             state_writes: self.state_writes - earlier.state_writes,
             helps: self.helps - earlier.helps,
             reads: self.reads - earlier.reads,
-            pool_hits: self.pool_hits - earlier.pool_hits,
-            pool_misses: self.pool_misses - earlier.pool_misses,
-            pool_defers: self.pool_defers - earlier.pool_defers,
-            pool_handoffs: self.pool_handoffs - earlier.pool_handoffs,
+            pool_hits: pool.hits,
+            pool_misses: pool.misses,
+            pool_defers: pool.defers,
+            pool_handoffs: pool.handoffs,
+        }
+    }
+
+    /// The four process-global `pool_*` fields as a [`PoolStats`].
+    fn pool(&self) -> crate::PoolStats {
+        crate::PoolStats {
+            hits: self.pool_hits,
+            misses: self.pool_misses,
+            defers: self.pool_defers,
+            handoffs: self.pool_handoffs,
         }
     }
 
@@ -189,6 +205,31 @@ mod tests {
         assert_eq!(d.freezing_cas, 6);
         assert_eq!(d.update_cas, 2);
         assert_eq!(d.total_cas(), 8);
+    }
+
+    #[test]
+    fn diff_saturates_across_a_pool_stats_reset() {
+        let domain: crate::Domain<1, ()> = crate::Domain::with_stats();
+        let guard = crate::pin();
+        let r = domain.alloc((), [0]);
+        let r_ref = unsafe { &*r };
+        let scx = |v| {
+            let s = [domain.llx(r_ref, &guard).snapshot().unwrap()];
+            let req = crate::ScxRequest::new(&s, crate::FieldId::new(0, 0), v);
+            assert!(domain.scx(req, &guard));
+        };
+        // Every SCX allocates one SCX-record: one pool hit or miss.
+        (1..=1000).for_each(scx);
+        let before = domain.stats().unwrap();
+        assert!(before.pool_hits + before.pool_misses >= 1000);
+        crate::reset_pool_stats();
+        scx(1001);
+        // The global counters restarted far below `before`; peer tests
+        // may bump them concurrently, so bound rather than pin them.
+        let d = domain.stats().unwrap().diff(&before);
+        assert_eq!(d.scx_commits, 1, "per-domain counters still subtract");
+        assert!(d.pool_hits + d.pool_misses < 1000, "{d:?}");
+        unsafe { domain.retire(r, &guard) };
     }
 
     #[test]

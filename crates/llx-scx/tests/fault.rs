@@ -74,23 +74,72 @@ fn injected_alloc_misses_change_nothing_but_the_miss_counter() {
     }
 }
 
+/// Park handoff shards: a producer thread leaves one SCX-record pinned
+/// by each of `RECORDS` Data-records' `info` fields, then retires them
+/// all, so the burst of matured blocks overflows the pool's 256-block
+/// free list into 16-block shards. It flushes before exiting so the
+/// shards are parked (not stranded in partial batches) when it is gone.
+fn park_shards() {
+    const RECORDS: u64 = 1_000;
+    std::thread::spawn(|| {
+        let domain: Domain<1, u64> = Domain::new();
+        let guard = llx_scx::pin();
+        let records: Vec<_> = (0..RECORDS).map(|i| domain.alloc(i, [0])).collect();
+        for &r in &records {
+            let s = domain.llx(unsafe { &*r }, &guard).snapshot().unwrap();
+            assert!(domain.scx(ScxRequest::new(&[s], FieldId::new(0, 0), 1), &guard));
+        }
+        for r in records {
+            unsafe { domain.retire(r, &guard) };
+        }
+        drop(guard);
+        drain_epochs();
+    })
+    .join()
+    .unwrap();
+}
+
+/// Run [`scx_loop`] on a fresh thread (empty free list, so its first
+/// allocation misses locally and reaches the steal path) and return the
+/// pool-counter movement over that thread's lifetime. The loop retires
+/// fewer blocks than a free list holds, so the consumer parks nothing
+/// itself.
+fn fresh_consumer() -> llx_scx::PoolStats {
+    let iters = 100u64;
+    let before = llx_scx::pool_stats();
+    std::thread::spawn(move || {
+        assert_eq!(scx_loop(iters), iters, "sequential SCXs all succeed");
+        drain_epochs();
+    })
+    .join()
+    .unwrap();
+    before.snapshot_delta()
+}
+
 #[test]
 fn injected_steal_failures_leave_parked_shards_adoptable() {
     let _g = lock();
     faultpoint::clear();
     drain_epochs();
     let baseline = llx_scx::live_scx_records();
-    // With every steal refused, allocations that miss the free list
-    // cannot adopt parked shards — correctness must not care.
+    park_shards();
+    // Adopt anything the producer's exit orphaned, so the only handoffs
+    // left to count below are shard steals.
+    drain_epochs();
+    // With every steal refused, a consumer that misses its free list
+    // cannot adopt the parked shards — correctness must not care.
     faultpoint::configure("scx.pool.steal_fail=every:1", faultpoint::DEFAULT_SEED).unwrap();
-    let iters = 300u64;
-    assert_eq!(scx_loop(iters), iters, "sequential SCXs all succeed");
+    let refused = fresh_consumer();
     let (_hits, fires) = faultpoint::counters("scx.pool.steal_fail").unwrap();
     faultpoint::clear();
-    // The steal path only runs on a free-list miss with handoff
-    // enabled; sequential churn retires into the free list, so at
-    // minimum the injection point was armed and consulted when it ran.
-    let _ = fires;
+    assert!(
+        fires > 0,
+        "the consumer's local miss never reached the steal"
+    );
+    assert_eq!(refused.handoffs, 0, "a refused steal adopted blocks");
+    // The refused shards stayed parked: the next consumer adopts them.
+    let adopted = fresh_consumer();
+    assert!(adopted.handoffs > 0, "parked shards were lost: {adopted:?}");
     drain_epochs();
     if let (Some(b), Some(a)) = (baseline, llx_scx::live_scx_records()) {
         assert_eq!(a, b, "no SCX record leaked under refused steals");

@@ -262,10 +262,6 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_BENCH_PAR` | `bench-harness` (`compare`, `scanwin`) | `1`/`on`/`true` runs sweep cells in parallel on scoped threads (cells are independent structures); default off so single-core baselines stay comparable |
 /// | `LLX_BENCH_CELL_MILLIS` | `bench-harness` throughput experiments | duration (ms) of each measured throughput cell (default 300; CI smoke runs use ~20) |
 /// | `LLX_BENCH_JSON` | `bench-harness` | path to also write every experiment table + pool counters as JSON (same as `--json PATH`); machine-readable cross-PR benchmark trail |
-/// | `LLX_SCX_POOL` | `llx-scx` reclamation | `0`/`off`/`false` disables the SCX-record pool (per-record defers; A/B benchmarking) |
-/// | `LLX_SCX_POOL_CAP` | `llx-scx` reclamation | per-thread free-list capacity of the SCX-record pool (default 256) |
-/// | `LLX_SCX_HANDOFF` | `llx-scx` reclamation | `0`/`off`/`false` disables the cross-thread shard handoff (free-list overflow returns to the allocator instead of feeding other threads; A/B benchmarking) |
-/// | `LLX_SCX_SHARD` | `llx-scx` reclamation | blocks per handoff shard — the unit in which overflow blocks publish and allocating threads steal (default 16) |
 /// | `LLX_EPOCH_BUDGET` | `crossbeam-epoch` shim (and the `bench-harness lat` budgeted column, default 32 there) | max deferred closures run per amortized collection tick inside `pin()`; `0` (default) = unbounded. `Guard::flush` is never budgeted |
 /// | `LLX_EPOCH_BG` | `crossbeam-epoch` shim | `1`/`on`/`true` moves amortized collection to a dedicated background reclaimer thread — mutators never run deferred closures from `pin()`. Sticky for the process; `flush` still drains inline deterministically |
 /// | `LLX_MODEL_BOUND` | `tests/model.rs` under `--cfg llx_model` (ci.sh `model` stage) | preemption bound of the deterministic schedule explorer: max voluntary context switches the DFS may inject per execution (default 2; forced switches at blocking/termination are free). The full `./ci.sh` run exports `1` for speed; the regression scenarios pin `>= 2` themselves |
@@ -274,8 +270,6 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_LIN_EVENTS` | root `linearizability` long-round tests (ci.sh `lin-long` stage) | events per long recorded round checked by the partitioned JIT checker (default 2048, floored at 64) |
 /// | `LLX_LIN_CHECKER` | root `linearizability` small-round tests | which backend judges the small WGL-sized rounds: `wgl`, `jit`, or `both` (default `both` — cross-checks and fails on disagreement). Long rounds always use JIT; the WGL bitmask cannot represent them |
 /// | `LLX_LIN_DIFF_CASES` | `linearize` `differential` test | histories generated for the WGL-vs-JIT differential sweep (default 3000, floor 2000; half are mutated) |
-/// | `LLX_BENCH_DIFF_FLOOR_NS` | ci.sh `bench-diff` stage (`bench-harness diff`) | absolute p99 slack in nanoseconds below which a relative regression is ignored (default 5000; 1-core CI hosts cannot resolve finer tail deltas) |
-/// | `LLX_BENCH_DIFF_WAIVE` | ci.sh `bench-diff` stage (`bench-harness diff`) | `1`/`on`/`true` downgrades a detected p99 regression from a hard failure to a warning (for known-noisy hosts) |
 /// | `LLX_STRUCT` | `conc-set` registry (`selected_specs`), so `bench-harness` `compare`/`lat`/`scanwin` and the root linearizability/stress/scan tests | comma-separated `StructureSpec` list selecting which structures the generic harnesses run — e.g. `patricia,sharded(patricia,4)`. Unset = every registered bare structure. Bad specs fail fast with a line/column parse error |
 /// | `LLX_SHARDS` | `conc-set` `StructureSpec` parsing | shard count a `sharded(X)` spec without an explicit count resolves to (default 4, clamped to at least 1) |
 /// | `LLX_SHARD_DOMAIN` | `conc-set` `ShardedSet` partition map | the key prefix `[0, domain)` that is split evenly across shards; the last shard also owns the tail up to `MAX_KEY` (default 1024, clamped to at least 1). Keep it near the workload's key-range so small-key benches actually spread across shards |
@@ -296,6 +290,12 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_CHAOS_OPS` | `bench-harness chaos` | mutations each chaos client attempts per run (default 2000) |
 /// | `PROPTEST_CASES` | every property test (proptest shim) | overrides the case count |
 /// | `PROPTEST_SEED` | every property test (proptest shim) | perturbs the otherwise deterministic streams |
+///
+/// The `llx-scx` SCX-record pool has no knobs: its free-list capacity
+/// (256) and handoff-shard size (16) are constants, and pooling and the
+/// cross-thread handoff run unconditionally — each won its A/B on the
+/// repository benchmark (numbers in the `llx-scx` `pool` module docs),
+/// so the switches that selected the losing arm were deleted.
 ///
 /// Example soak:
 /// `LLX_STRESS_MILLIS=5000 LLX_LIN_ROUNDS_SCALE=20 PROPTEST_CASES=4096 cargo test --release`

@@ -142,8 +142,8 @@ fn skewed_stress_balances() {
 
 /// Conservation over the sharded facade at 1, 2 and 8 shards for each
 /// LLX/SCX backend, selected purely through the `StructureSpec`
-/// grammar: occurrences route to per-shard instances (and per-shard
-/// pool-affinity buckets) yet the global laws must still hold — net
+/// grammar: occurrences route to per-shard instances yet the global
+/// laws must still hold — net
 /// occurrences = `len()` = stitched full-range scan at quiescence, and
 /// every shard's own invariants validate.
 #[test]
@@ -231,15 +231,10 @@ fn scx_record_pool_drains_after_generic_stress() {
             llx_scx::pool_stats()
         );
     }
-    // The pool actually engaged — unless the A/B knob disabled it, in
-    // which case allocations bypass the counters by design.
-    let pool_disabled = matches!(
-        std::env::var("LLX_SCX_POOL").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    );
+    // The pool actually engaged.
     let stats = llx_scx::pool_stats();
     assert!(
-        pool_disabled || stats.hits + stats.misses > 0,
+        stats.hits + stats.misses > 0,
         "pool never allocated: {stats:?}"
     );
 }

@@ -291,7 +291,7 @@ fn gen_long_windowed_op(_thread: usize, _i: usize, r: u64) -> OrderedSetOp {
 /// small WGL/JIT-cross-checked rounds driven purely through the
 /// `StructureSpec` grammar, exactly as `LLX_STRUCT` would select them.
 /// At the default partition both hot keys land in shard 0, so this
-/// exercises the routing and affinity plumbing without relying on the
+/// exercises the routing plumbing without relying on the
 /// (per-shard-atomic) cross-shard scan tier.
 #[test]
 fn sharded_combinations_are_linearizable() {

@@ -328,10 +328,10 @@ const K6_REFS: usize = K6_DEPS - 1;
 /// T0 models the successor's dependency stage releasing that final hold
 /// (`release_common`); T1 models `drop_shim` running at the end of `u`'s
 /// destruction epoch. Disposal is modeled as an immediate recycle of the
-/// block into a live successor record (`LLX_SCX_POOL_CAP=0
-/// LLX_SCX_SHARD=1` handoff: freed blocks round-trip to a peer's `alloc`
-/// within the same epoch), with the fresh-header stores standing in for
-/// the allocator's unordered `ptr::write`. The invariant under test:
+/// block into a live successor record (the pool's worst case: a freed
+/// block round-trips to a peer's `alloc` within the same epoch), with
+/// the fresh-header stores standing in for the allocator's unordered
+/// `ptr::write`. The invariant under test:
 /// once the block is recycled, no straggler of dead `u` may ever claim
 /// (= retire) the live record occupying it, and exactly one party must
 /// end up owning destruction.

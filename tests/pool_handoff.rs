@@ -1,9 +1,14 @@
-//! Cross-thread shard handoff of the SCX-record pool, in its own test
-//! binary: it pins the pool knobs (tiny free-list cap, small shards)
-//! through environment variables that the pool reads once, so no other
-//! test may touch SCX records in this process first.
+//! Cross-thread shard handoff of the SCX-record pool at its real
+//! constants (256-block free lists, 16-block shards): a producer thread
+//! retires more blocks than its free list holds, and a fresh consumer
+//! thread must allocate from what the producer parked.
 
 use multiset::Multiset;
+
+/// Distinct keys the producer inserts, hence roughly the SCX-records it
+/// retires in one burst: several times the pool's per-thread free-list
+/// capacity.
+const PRODUCER_KEYS: u64 = 1_000;
 
 /// Insert/remove churn: every operation commits one SCX, so `pairs`
 /// pairs retire ~2×`pairs` SCX-records on the calling thread.
@@ -22,12 +27,6 @@ fn churn(set: &Multiset<u64>, pairs: usize) -> u64 {
 
 #[test]
 fn producer_shards_feed_a_fresh_consumer_thread() {
-    // Before ANY SCX activity: shrink the per-thread free list so the
-    // maturation path overflows into handoff shards quickly. The pool
-    // reads both knobs once, lazily; this test binary contains only
-    // this test, so nothing races the setenv.
-    std::env::set_var("LLX_SCX_POOL_CAP", "8");
-    std::env::set_var("LLX_SCX_SHARD", "8");
     // This test measures the POOL layer, so pin the epoch layer to an
     // unbudgeted collection (a tiny env-forced LLX_EPOCH_BUDGET would
     // starve maturation and the parked-shard supply with it; the
@@ -38,20 +37,24 @@ fn producer_shards_feed_a_fresh_consumer_thread() {
     llx_scx::flush_reclamation();
     let baseline_live = llx_scx::live_scx_records();
 
-    // Phase 1 — producer: a retire-heavy thread whose maturations
-    // overflow its capped free list and publish shards. It flushes its
-    // own reclamation before exiting so the shards are parked (not
+    // Phase 1 — producer: steady single-thread churn recycles through
+    // a free list far below its cap (~160 blocks), so the producer
+    // retires a *burst* instead. Each ascending insert leaves its
+    // SCX-record pinned by the new tail node's `info` field; dropping
+    // the set releases all of them at once, and their maturation
+    // overflows the 256-block free list into parked shards. It flushes
+    // its own reclamation before exiting so the shards are parked (not
     // stranded in partial batches) when it is gone.
-    let produced = std::thread::spawn(|| {
+    std::thread::spawn(|| {
         let set = Multiset::<u64>::new();
-        let ops = churn(&set, 4_000);
+        for k in 0..PRODUCER_KEYS {
+            set.insert(k, 1);
+        }
         drop(set);
         llx_scx::flush_reclamation();
-        ops
     })
     .join()
     .unwrap();
-    assert!(produced > 0);
 
     // Phase 2 — consumer: a *fresh* thread (empty free list) starts
     // allocating. Without the handoff every early allocation fell
@@ -76,9 +79,8 @@ fn producer_shards_feed_a_fresh_consumer_thread() {
     );
     // Floor chosen to hold in every epoch mode: inline collection
     // recycles promptly (rate well above this), while background
-    // collection (`LLX_EPOCH_BG=1`) matures asynchronously and lags a
-    // little — but without the handoff a fresh consumer thread sat in
-    // the low single digits in both modes.
+    // collection (`LLX_EPOCH_BG=1`) matures on the reclaimer thread, so
+    // there the mutators' free lists are fed by the handoff alone.
     let rate = phase.hit_rate().expect("consumer allocated SCX records");
     assert!(
         rate > 0.15,

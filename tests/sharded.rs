@@ -1,19 +1,15 @@
 //! Integration behavior of the range-partitioned [`conc_set::ShardedSet`]
 //! facade: partition-boundary keys, stitched-cursor resume across shard
-//! seams under churn, `sharded(X,1)` vs bare `X` equivalence, the
-//! per-shard validation report, and per-domain pool-stats attribution.
+//! seams under churn, `sharded(X,1)` vs bare `X` equivalence, and the
+//! per-shard validation report.
 //!
 //! Unit tests in `conc-set` cover the partition arithmetic and cursor
 //! stitching in isolation; this binary exercises the facade end to end
 //! through the public API, the way the registry and harnesses see it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use conc_set::{ConcurrentOrderedSet, ScanOpts, ScanStep, ShardedSet, StructureSpec};
-
-/// Serializes the tests that read process-global pool counters.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn base(name: &str) -> StructureSpec {
     StructureSpec::Base(name.to_string())
@@ -218,32 +214,4 @@ fn validation_report_covers_every_shard() {
     assert_eq!(total, set.len(), "per-shard lens sum to the global len");
     assert!(report.ok());
     report.into_result().expect("clean report converts to Ok");
-}
-
-/// Per-domain pool statistics: churn routed through one shard bumps
-/// that shard's affinity-domain counters while a domain no shard maps
-/// to stays flat — the isolation that keeps the bench harness's
-/// pool-hit% per cell instead of cross-contaminated.
-#[test]
-fn per_domain_pool_stats_attribute_affined_churn() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Width 2 over 4 shards: key 5 lives in shard 2, i.e. domain 2.
-    let set = ShardedSet::with_domain(&base("patricia"), 4, 8);
-    let hot = llx_scx::pool_domain_stats(2);
-    let cold = llx_scx::pool_domain_stats(9); // no shard maps there
-    for _ in 0..256 {
-        set.insert(5, 1);
-        set.remove(5, 1);
-    }
-    let hot_delta = llx_scx::pool_domain_stats(2).delta_since(&hot);
-    let cold_delta = llx_scx::pool_domain_stats(9).delta_since(&cold);
-    assert!(
-        hot_delta.hits + hot_delta.misses > 0,
-        "shard 2's churn never hit its own domain counters: {hot_delta:?}"
-    );
-    assert_eq!(
-        cold_delta.hits + cold_delta.misses + cold_delta.defers,
-        0,
-        "unmapped domain picked up traffic: {cold_delta:?}"
-    );
 }
