@@ -10,14 +10,13 @@
 # Stages (in order):
 #   fmt            cargo fmt --check
 #   build          tier-1 release build (ROADMAP.md)
-#   test           tier-1 test suite (debug profile, small default knobs)
+#   test           tier-1 test suite (debug profile, small default knobs);
+#                  also the only stage that runs the doctests and
+#                  builds the examples (`cargo test` does both)
 #   debug-stress   llx-scx suite again with a longer churn phase: the
 #                  generation-stamp ABA detectors and reclamation
 #                  ledgers only exist under debug_assertions, and rare
 #                  races need soak time the tier-1 defaults don't give
-#   doctest        llx-scx doctests
-#   examples       example builds
-#   benches        criterion bench builds
 #   scanwin        windowed scan cursors under churn: a release leg
 #                  running the long windowed-scan stress/cursor tests
 #                  (per-window conservation laws checked mid-churn) and
@@ -40,15 +39,6 @@
 #                  (with a scan mix); asserts both tables parse and
 #                  include every registered structure, so a broken
 #                  registry or scan knob cannot silently drop a column
-#   latency        bench-harness `lat` at tiny knobs: asserts the
-#                  latency table is well-formed (every structure in
-#                  all three epoch modes x two mixes, 9 fields per
-#                  row) and that --json writes a non-empty document
-#   serve          the network service tier end to end: bench-harness
-#                  `serve` spawns a loopback netsvc server over two
-#                  specs (one sharded), runs the pipelined client mix
-#                  under `timeout`, and asserts well-formed latency
-#                  rows (both depths, 9 fields) plus the --json sidecar
 #   chaos          resilience soak under deterministic fault injection:
 #                  bench-harness `chaos` (resilient clients vs a
 #                  loopback server while the injector kills connections
@@ -94,7 +84,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test debug-stress scanwin shard bg-reclaim doctest examples benches compare-smoke latency serve chaos lin-long bench-check model audit clippy)
+ALL_STAGES=(fmt build test debug-stress scanwin shard bg-reclaim compare-smoke chaos lin-long bench-check model audit clippy)
 QUICK_STAGES=(fmt build test)
 
 QUICK=0
@@ -238,18 +228,6 @@ stage_bg_reclaim() {
         cargo test -q -p llx-scx
 }
 
-stage_doctest() {
-    cargo test -q --doc -p llx-scx
-}
-
-stage_examples() {
-    cargo build --examples
-}
-
-stage_benches() {
-    cargo build -p bench --benches
-}
-
 stage_compare_smoke() {
     local out structures s rows
     out="$(LLX_BENCH_CELL_MILLIS=15 LLX_SCAN_PCT=10 LLX_SCAN_RANGE=8 \
@@ -319,76 +297,6 @@ stage_compare_smoke() {
         return 1
     fi
     echo "    scanwin table: $((2 * ${#structures[@]})) rows, all structures present, pool line printed"
-}
-
-stage_latency() {
-    # The lat table: every structure must appear in all 3 epoch modes
-    # x 2 mixes (6 rows), each data row carries 9 single-token fields,
-    # and the --json sidecar is written and non-trivial.
-    local out json structures s rows
-    json="$(mktemp)"
-    out="$(LLX_BENCH_CELL_MILLIS=15 \
-        cargo run -q --release -p bench-harness -- lat --json "$json")"
-    structures=(scx-multiset chromatic bst patricia kcas-multiset hoh-multiset coarse-multiset)
-    for s in "${structures[@]}"; do
-        rows=$(grep -cE "^ *(inline|budgeted|bg) +[a-z0-9-]+ +$s " <<<"$out" || true)
-        if [[ "$rows" -ne 6 ]]; then
-            echo "lat table has $rows rows for structure '$s', expected 6 (3 modes x 2 mixes)" >&2
-            echo "$out" >&2
-            rm -f "$json"
-            return 1
-        fi
-    done
-    if ! awk '/^ *(inline|budgeted|bg) +(mixed-40u|pipeline) / \
-        { if (NF != 9) { print "malformed lat row (" NF " fields): " $0; exit 1 } }' \
-        <<<"$out"; then
-        rm -f "$json"
-        return 1
-    fi
-    if [[ ! -s "$json" ]] || ! head -c1 "$json" | grep -q '{' \
-        || ! grep -q '"pool"' "$json" || ! grep -q 'per-op latency' "$json"; then
-        echo "lat --json sidecar missing or malformed" >&2
-        rm -f "$json"
-        return 1
-    fi
-    rm -f "$json"
-    echo "    lat table: $((6 * ${#structures[@]})) rows, all structures in all modes, JSON sidecar ok"
-}
-
-stage_serve() {
-    # The network service tier end to end: a loopback netsvc server
-    # over two specs (one a sharded facade), the pipelined client mix,
-    # the whole run under `timeout` so a wedged accept loop or session
-    # thread fails the stage instead of hanging CI. The table must
-    # carry both specs at both pipeline depths with well-formed rows.
-    local out json s rows
-    json="$(mktemp)"
-    cargo build -q --release -p bench-harness
-    out="$(LLX_STRUCT='scx-multiset,sharded(patricia,4)' LLX_BENCH_CELL_MILLIS=100 \
-        timeout 180 target/release/bench-harness serve --json "$json")"
-    for s in 'scx-multiset' 'sharded(patricia,4)'; do
-        rows=$(grep -cF "$s " <<<"$out" || true)
-        if [[ "$rows" -lt 2 ]]; then
-            echo "serve table has $rows rows for spec '$s', expected 2 (depth 1 + deep)" >&2
-            echo "$out" >&2
-            rm -f "$json"
-            return 1
-        fi
-    done
-    # Data rows: structure conns depth ops/s p50 p99 p99.9 max batch.
-    if ! awk '/^ *(scx-multiset|sharded\(patricia,4\)) / \
-        { if (NF != 9) { print "malformed serve row (" NF " fields): " $0; exit 1 } }' \
-        <<<"$out"; then
-        rm -f "$json"
-        return 1
-    fi
-    if [[ ! -s "$json" ]] || ! grep -q '"serve:' "$json"; then
-        echo "serve --json sidecar missing or lacks the serve table" >&2
-        rm -f "$json"
-        return 1
-    fi
-    rm -f "$json"
-    echo "    serve table: both specs at both depths, rows well-formed, JSON sidecar ok"
 }
 
 stage_chaos() {
@@ -463,6 +371,7 @@ now_ms() {
 }
 
 SUMMARY=()
+TOTAL_MS=0
 run_stage() {
     local name="$1" fn="$2"
     if [[ -n "$ONLY" && "$ONLY" != "$name" ]]; then
@@ -476,6 +385,7 @@ run_stage() {
     start=$(now_ms)
     "$fn"
     elapsed=$(( $(now_ms) - start ))
+    TOTAL_MS=$((TOTAL_MS + elapsed))
     SUMMARY+=("$(printf '%-14s %6d.%03ds' "$name" $((elapsed / 1000)) $((elapsed % 1000)))")
     echo "    [$name] ok (${elapsed}ms)"
 }
@@ -487,12 +397,7 @@ run_stage debug-stress stage_debug_stress
 run_stage scanwin stage_scanwin
 run_stage shard stage_shard
 run_stage bg-reclaim stage_bg_reclaim
-run_stage doctest stage_doctest
-run_stage examples stage_examples
-run_stage benches stage_benches
 run_stage compare-smoke stage_compare_smoke
-run_stage latency stage_latency
-run_stage serve stage_serve
 run_stage chaos stage_chaos
 run_stage lin-long stage_lin_long
 run_stage bench-check stage_bench_check
@@ -503,4 +408,6 @@ run_stage clippy stage_clippy
 echo
 echo "stage timings:"
 printf '  %s\n' "${SUMMARY[@]}"
+# The tracked wall-time number: compare it across PRs.
+printf '  %-14s %6d.%03ds  (%d stages)\n' total $((TOTAL_MS / 1000)) $((TOTAL_MS % 1000)) "${#SUMMARY[@]}"
 echo "CI green."

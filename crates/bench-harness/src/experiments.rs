@@ -1,9 +1,10 @@
-//! The experiments E1–E8 plus the cross-structure `compare` sweep.
+//! The paper's experiments E1–E3 and E6–E8, the structure-zoo sweeps
+//! `compare` and `scanwin`, and the `chaos` soak.
 //!
-//! Structure-level experiments (E4, E5, `compare`) drive every data
-//! structure through the [`conc_set::ConcurrentOrderedSet`] trait, so
-//! one worker definition covers the whole zoo and adding a structure to
-//! the registry adds it to the sweeps.
+//! The sweeps drive every data structure through the
+//! [`conc_set::ConcurrentOrderedSet`] trait, so one worker definition
+//! covers the whole zoo and adding a structure to the registry adds it
+//! to the sweeps.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,9 +17,7 @@ use mwcas::{kcas, KcasCell};
 use rand::{Rng, SeedableRng};
 use workloads::{KeyDist, Mix, OpKind, WorkloadGen};
 
-use crate::runner::{
-    fmt_ns, fmt_ops, print_table, run_cells, run_latency, run_throughput, Histogram,
-};
+use crate::runner::{fmt_ops, print_table, run_throughput};
 
 /// Duration of each throughput cell; short because the sweep is wide.
 /// `LLX_BENCH_CELL_MILLIS` overrides the 300 ms default (the CI smoke
@@ -68,14 +67,6 @@ fn set_worker<'a>(
     }
 }
 
-/// Bare registry structures by name, as specs, preserving order.
-fn specs_named(names: &[&str]) -> Vec<StructureSpec> {
-    names
-        .iter()
-        .map(|n| StructureSpec::Base((*n).to_string()))
-        .collect()
-}
-
 /// Measure one throughput cell: fresh structure, standard 50% prefill
 /// in shuffled order (ascending order would degenerate the unbalanced
 /// BST into a list — shuffled inserts give ~log height, and the other
@@ -100,10 +91,7 @@ fn measure_cell(spec: &StructureSpec, threads: usize, range: u64, mix: Mix) -> f
 /// unified trait exists to enable. The column set is `LLX_STRUCT`
 /// (parsed as a comma list of [`StructureSpec`]s — bare names and
 /// `sharded(name,n)` facades mix freely), defaulting to the whole
-/// registry. Cells are independent structures, so `LLX_BENCH_PAR` fans
-/// them out across scoped worker threads ([`run_cells`]); the default
-/// stays sequential so single-core baseline numbers remain comparable
-/// across PRs.
+/// registry.
 pub fn compare() {
     let selected = conc_set::selected_specs();
     let names: Vec<String> = selected.iter().map(|s| s.to_string()).collect();
@@ -123,28 +111,20 @@ pub fn compare() {
             specs.push((range, updates, 4));
         }
     }
-    let jobs: Vec<_> = specs
-        .iter()
-        .flat_map(|&(range, updates, threads)| {
-            selected.iter().map(move |spec| {
-                move || {
-                    let mix = mix_with_env_scans(Mix::with_update_percent(updates));
-                    measure_cell(spec, threads, range, mix)
-                }
-            })
-        })
-        .collect();
-    let cells = run_cells(jobs);
     let rows: Vec<Vec<String>> = specs
         .iter()
-        .zip(cells.chunks(selected.len()))
-        .map(|(&(range, updates, threads), tps)| {
+        .map(|&(range, updates, threads)| {
+            let mix = mix_with_env_scans(Mix::with_update_percent(updates));
             let mut row = vec![
                 range.to_string(),
                 format!("{updates}%"),
                 threads.to_string(),
             ];
-            row.extend(tps.iter().map(|&t| fmt_ops(t)));
+            row.extend(
+                selected
+                    .iter()
+                    .map(|spec| fmt_ops(measure_cell(spec, threads, range, mix))),
+            );
             row
         })
         .collect();
@@ -345,70 +325,6 @@ pub fn e3_vlx_cost() {
         &rows,
     );
     println!("paper claim: a VLX on k Data-records only requires reading k words (§1)");
-}
-
-/// E4 — multiset throughput: LLX/SCX vs kCAS-based vs locks
-/// (the paper's implicit comparison; list topologies identical).
-pub fn e4_multiset_scaling() {
-    let range = 64u64;
-    let names = [
-        "scx-multiset",
-        "kcas-multiset",
-        "coarse-multiset",
-        "hoh-multiset",
-    ];
-    let specs = specs_named(&names);
-    let mut rows = Vec::new();
-    for &updates in &[0u32, 20, 50, 100] {
-        let mix = mix_with_env_scans(Mix::with_update_percent(updates));
-        for &threads in THREADS {
-            let mut row = vec![format!("{updates}%"), threads.to_string()];
-            for spec in &specs {
-                row.push(fmt_ops(measure_cell(spec, threads, range, mix)));
-            }
-            rows.push(row);
-        }
-    }
-    let mut header = vec!["updates".to_string(), "threads".to_string()];
-    header.extend(names.iter().map(|s| s.to_string()));
-    print_table(
-        &format!("E4: multiset throughput (ops/s), key range {range}"),
-        &header,
-        &rows,
-    );
-    println!("expected shape: LLX/SCX >= kCAS (fewer CAS steps/op); locks degrade with threads and update rate");
-}
-
-/// E5 — tree throughput: chromatic vs unbalanced BST vs Patricia vs the
-/// coarse-locked map (the §6 / PPoPP'14 evaluation shape).
-pub fn e5_tree_scaling() {
-    let names = ["chromatic", "bst", "patricia", "coarse-multiset"];
-    let specs = specs_named(&names);
-    let mut rows = Vec::new();
-    for &range in &[1_024u64, 65_536] {
-        for &updates in &[10u32, 50] {
-            let mix = mix_with_env_scans(Mix::with_update_percent(updates));
-            for &threads in THREADS {
-                let mut row = vec![
-                    range.to_string(),
-                    format!("{updates}%"),
-                    threads.to_string(),
-                ];
-                for spec in &specs {
-                    row.push(fmt_ops(measure_cell(spec, threads, range, mix)));
-                }
-                rows.push(row);
-            }
-        }
-    }
-    let mut header = vec![
-        "key range".to_string(),
-        "updates".to_string(),
-        "threads".to_string(),
-    ];
-    header.extend(names.iter().map(|s| s.to_string()));
-    print_table("E5: tree throughput (ops/s)", &header, &rows);
-    println!("expected shape (PPoPP'14): non-blocking trees scale with threads; the coarse lock does not; BST prefill is shuffled (~log height), not the sorted worst case");
 }
 
 /// E7 — ablation: plain-read searches vs LLX-everywhere searches
@@ -635,126 +551,6 @@ pub fn e6_progress() {
     println!("expected shape: both complete on a preemptive scheduler, but KCSS worst-case retries grow much faster (obstruction freedom vs non-blocking helping)");
 }
 
-/// One latency cell: fresh prefilled structure, every operation timed
-/// into a log₂ histogram on the measured thread (no allocation, no
-/// shared state on the timed path).
-fn lat_cell(spec: &StructureSpec, threads: usize, range: u64, pipeline: bool) -> (f64, Histogram) {
-    let set = spec.build();
-    let mut keys: Vec<u64> = workloads::prefill_keys(range).collect();
-    use rand::seq::SliceRandom;
-    keys.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(99));
-    for k in keys {
-        set.insert(k, 1);
-    }
-    run_latency(threads, cell(), |t| {
-        let mix = if pipeline {
-            Mix::pipeline(t)
-        } else {
-            Mix::with_update_percent(40)
-        };
-        let mut gen = WorkloadGen::new(42, t, KeyDist::uniform(range), mix);
-        let set = &*set;
-        Box::new(move |hist: &mut Histogram| {
-            // Generate outside the clocked bracket: the sample is the
-            // structure operation, not the RNG/mix dispatch.
-            let (kind, key) = gen.next_op();
-            let t0 = Instant::now();
-            match kind {
-                OpKind::Get => {
-                    let _ = set.get(key);
-                }
-                OpKind::Insert => {
-                    let _ = set.insert(key, 1);
-                }
-                OpKind::Remove => {
-                    let _ = set.remove(key, 1);
-                }
-                OpKind::Scan => unreachable!("lat mixes carry no scans"),
-            }
-            hist.record(t0.elapsed().as_nanos() as u64);
-        })
-    })
-}
-
-/// `lat` — per-operation tail latency across reclamation modes: every
-/// structure × {mixed, pipeline} mix × {inline, budgeted, background}
-/// epoch collection, p50/p99/p99.9/max per cell plus the cell's pool
-/// hit rate.
-///
-/// The mode is process-global and *monotone* (background is sticky),
-/// so modes are the outermost sweep: all inline cells run first, then
-/// the per-tick budget is capped (`LLX_EPOCH_BUDGET`, default 32),
-/// then the dedicated reclaimer thread takes over. If the process
-/// already started in background mode only that column runs. The
-/// interesting numbers are the inline column's p99.9/max — a mutator
-/// absorbing a whole ready batch inside `pin()` — against the bounded
-/// modes; and the pipeline mix's pool hit rate, which the
-/// cross-thread shard handoff holds up. The pool counters are
-/// process-global, so each cell reports their delta over its own run.
-pub fn lat() {
-    let budget = workloads::knobs::env_u64("LLX_EPOCH_BUDGET", 32).max(1) as usize;
-    let modes: &[&str] = if crossbeam_epoch::background_active() {
-        println!("\n(lat: process already in background-reclaimer mode; inline/budgeted columns unavailable)");
-        &["bg"]
-    } else {
-        &["inline", "budgeted", "bg"]
-    };
-    let selected = conc_set::selected_specs();
-    let range = 64u64;
-    let mut rows = Vec::new();
-    for &mode in modes {
-        match mode {
-            "inline" => crossbeam_epoch::set_collect_budget(0),
-            "budgeted" => crossbeam_epoch::set_collect_budget(budget),
-            _ => {
-                crossbeam_epoch::set_collect_budget(0);
-                crossbeam_epoch::enable_background_reclaimer();
-            }
-        }
-        for &(mix_name, threads, pipeline) in &[("mixed-40u", 4, false), ("pipeline", 2, true)] {
-            for spec in &selected {
-                let pool_before = llx_scx::pool_stats();
-                let (ops, hist) = lat_cell(spec, threads, range, pipeline);
-                let pool = pool_before
-                    .snapshot_delta()
-                    .hit_rate()
-                    .map(|r| format!("{:.1}%", r * 100.0))
-                    .unwrap_or_else(|| "-".to_string());
-                rows.push(vec![
-                    mode.to_string(),
-                    mix_name.to_string(),
-                    spec.to_string(),
-                    fmt_ops(ops),
-                    fmt_ns(hist.quantile(0.50)),
-                    fmt_ns(hist.quantile(0.99)),
-                    fmt_ns(hist.quantile(0.999)),
-                    fmt_ns(hist.max()),
-                    pool,
-                ]);
-            }
-        }
-    }
-    print_table(
-        &format!(
-            "lat: per-op latency by epoch-collection mode \
-             (budget {budget} closures/tick; pipeline = dedicated inserter + remover threads)"
-        ),
-        &[
-            "epoch".into(),
-            "mix".into(),
-            "structure".into(),
-            "ops/s".into(),
-            "p50".into(),
-            "p99".into(),
-            "p99.9".into(),
-            "max".into(),
-            "pool-hit".into(),
-        ],
-        &rows,
-    );
-    println!("inline mode runs every ready deferred closure inside an unlucky pin(); budgeted caps the per-tick bite; bg moves collection to a dedicated reclaimer thread (sticky — the process stays in bg mode after this experiment). pool-hit is the cell's SCX-record pool hit rate; the pipeline mix exercises the cross-thread shard handoff");
-}
-
 /// One `scanwin` measurement: full-structure scans racing a fixed-rate
 /// writer, first through the atomic (`window = ∞`) cursor, then
 /// through the bounded-window cursor. Returns
@@ -869,9 +665,8 @@ fn scanwin_cell(
 /// range rows of one structure); the windowed cursor revalidates only
 /// the dirty window, so its retries/window stay flat — the ROADMAP's
 /// bounded-retry claim, measured. `LLX_SCAN_WINDOW` (when > 0) pins a
-/// single window size, `LLX_SCANWIN_WRITE_RATE` sets the writer's
-/// target rate, and `LLX_BENCH_PAR` fans the independent cells out in
-/// parallel.
+/// single window size and `LLX_SCANWIN_WRITE_RATE` sets the writer's
+/// target rate.
 pub fn scanwin() {
     let window_knob = workloads::knobs::scan_window();
     let windows: Vec<u64> = if window_knob > 0 {
@@ -883,20 +678,6 @@ pub fn scanwin() {
     let write_rate = workloads::knobs::env_u64("LLX_SCANWIN_WRITE_RATE", 2000);
     let selected = conc_set::selected_specs();
 
-    let mut specs: Vec<(u64, u64, &StructureSpec, String)> = Vec::new();
-    for &range in ranges {
-        for &window in &windows {
-            for spec in &selected {
-                specs.push((range, window, spec, spec.to_string()));
-            }
-        }
-    }
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|&(range, window, spec, _)| move || scanwin_cell(spec, range, window, write_rate))
-        .collect();
-    let cells = run_cells(jobs);
-
     // Single-token cells (CI greps field counts); `12r/0` = 12 retries
     // with nothing completed — the livelock end of the atomic path.
     let per = |num: u64, den: u64| -> String {
@@ -906,13 +687,14 @@ pub fn scanwin() {
             format!("{:.2}", num as f64 / den as f64)
         }
     };
-    let rows: Vec<Vec<String>> = specs
-        .iter()
-        .zip(&cells)
-        .map(
-            |((range, window, _, name), &(wps, a_scans, a_retries, w_scans, w_retries, w_wins))| {
-                vec![
-                    name.clone(),
+    let mut rows = Vec::new();
+    for &range in ranges {
+        for &window in &windows {
+            for spec in &selected {
+                let (wps, a_scans, a_retries, w_scans, w_retries, w_wins) =
+                    scanwin_cell(spec, range, window, write_rate);
+                rows.push(vec![
+                    spec.to_string(),
                     range.to_string(),
                     window.to_string(),
                     format!("{wps:.0}"),
@@ -921,10 +703,10 @@ pub fn scanwin() {
                     w_scans.to_string(),
                     per(w_retries, w_wins),
                     per(w_wins, w_scans),
-                ]
-            },
-        )
-        .collect();
+                ]);
+            }
+        }
+    }
     print_table(
         &format!(
             "scanwin: full-structure scan retries under a ~{write_rate}/s writer \
@@ -944,139 +726,6 @@ pub fn scanwin() {
         &rows,
     );
     println!("atomic retries/scan grow with range (one conflict restarts the whole validation); windowed retries/window stay flat (only the dirty window restarts, the cursor resumes from the last emitted key); lock-based structures never retry by construction");
-}
-
-/// `serve` — the network service tier measured end to end: a loopback
-/// [`netsvc::Server`] over every selected spec, hammered by
-/// `LLX_NET_CONNS` client connections at pipeline depth 1 vs
-/// `LLX_NET_PIPELINE`, 40%-update point-op mix, per-request latency
-/// through the `lat` histogram machinery.
-///
-/// Depth 1 is classic request/response: every operation pays a full
-/// loopback round trip plus its own epoch entry at the server. The
-/// deep pipeline keeps `depth` requests in flight per connection, so
-/// the session's drain loop packs them into batches executed under
-/// one epoch pin and replied in one flush — `batch` (mean requests
-/// per server-side batch) is the achieved amortization, and the
-/// ops/s ratio between the two depths is what it buys. Per-request
-/// latency *rises* with depth (requests queue behind their own
-/// pipeline); that trade is the point of the table.
-pub fn serve() {
-    use netsvc::{Client, Request, Response, Server, ServerConfig};
-    use std::collections::VecDeque;
-
-    let specs = conc_set::selected_specs();
-    assert!(
-        specs.len() <= u16::MAX as usize,
-        "structure-id space is u16"
-    );
-    let conns = workloads::knobs::net_conns();
-    let depth_hi = workloads::knobs::net_pipeline();
-    let duration = cell();
-    let server = Server::spawn(&specs, ServerConfig::default())
-        .expect("bind the loopback service address (LLX_NET_ADDR)");
-    let addr = server.local_addr();
-    let mut rows = Vec::new();
-    for (sid, spec) in specs.iter().enumerate() {
-        let sid = sid as u16;
-        // Prefill through the wire so gets hit and removes contend.
-        {
-            let mut c = Client::connect(addr).expect("prefill connect");
-            for k in workloads::prefill_keys(512) {
-                c.insert(sid, k, 1).expect("prefill insert");
-            }
-        }
-        for &depth in &[1usize, depth_hi] {
-            let (b0, o0) = server.batch_stats();
-            let (ops, hist) = run_latency(conns, duration, |t| {
-                let mut client = Client::connect(addr).expect("connect");
-                let mut gen = WorkloadGen::new(
-                    0xC0FFEE ^ depth as u64,
-                    t,
-                    KeyDist::uniform(1024),
-                    Mix::with_update_percent(40),
-                );
-                let mut next_req = move || {
-                    let (kind, key) = gen.next_op();
-                    match kind {
-                        OpKind::Get => Request::Get {
-                            structure: sid,
-                            key,
-                        },
-                        OpKind::Insert => Request::Insert {
-                            structure: sid,
-                            key,
-                            count: 1,
-                        },
-                        OpKind::Remove => Request::Remove {
-                            structure: sid,
-                            key,
-                            count: 1,
-                        },
-                        OpKind::Scan => unreachable!("serve mixes carry no scans"),
-                    }
-                };
-                // Prime the pipeline: `depth` requests in flight before
-                // the measured window opens.
-                let mut inflight: VecDeque<Instant> = VecDeque::with_capacity(depth);
-                for _ in 0..depth {
-                    inflight.push_back(Instant::now());
-                    client.send(&next_req()).expect("send");
-                }
-                client.flush().expect("flush");
-                Box::new(move |hist| {
-                    // One worker call = one completed request: receive
-                    // the oldest in-flight reply, then refill the
-                    // pipeline to `depth`.
-                    let resp = client.recv().expect("recv");
-                    debug_assert!(
-                        matches!(resp, Response::Value(_)),
-                        "point op answered {resp:?}"
-                    );
-                    let sent = inflight.pop_front().expect("an in-flight request");
-                    hist.record(sent.elapsed().as_nanos() as u64);
-                    inflight.push_back(Instant::now());
-                    client.send(&next_req()).expect("send");
-                    client.flush().expect("flush");
-                })
-            });
-            let (b1, o1) = server.batch_stats();
-            let batches = (b1 - b0).max(1);
-            rows.push(vec![
-                spec.to_string(),
-                conns.to_string(),
-                depth.to_string(),
-                fmt_ops(ops),
-                fmt_ns(hist.quantile(0.50)),
-                fmt_ns(hist.quantile(0.99)),
-                fmt_ns(hist.quantile(0.999)),
-                fmt_ns(hist.max()),
-                format!("{:.1}", (o1 - o0) as f64 / batches as f64),
-            ]);
-        }
-    }
-    server.shutdown();
-    print_table(
-        &format!(
-            "serve: loopback network service, {conns} connections, \
-             40%-update mix, pipeline depth 1 vs {depth_hi} \
-             (batch = mean requests per server-side batch, executed \
-             under one epoch pin)"
-        ),
-        &[
-            "structure".into(),
-            "conns".into(),
-            "depth".into(),
-            "ops/s".into(),
-            "p50".into(),
-            "p99".into(),
-            "p99.9".into(),
-            "max".into(),
-            "batch".into(),
-        ],
-        &rows,
-    );
-    println!("depth 1 pays one loopback round trip and one server epoch entry per op; the deep pipeline lets the session drain whole bursts into single-pin batches (the batch column), trading per-request latency (requests queue behind their own pipeline) for throughput");
 }
 
 /// The fault mix `chaos` arms when `LLX_FAULT_SPEC` does not override

@@ -1,165 +1,8 @@
-//! Fixed-duration throughput and latency runners.
+//! The fixed-duration throughput runner and the table printer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-/// A fixed-size log₂ latency histogram: bucket `b` holds samples with
-/// `floor(log2(nanos)) == b`. Recording is two array writes and a
-/// compare — no allocation, no locks — so it sits directly on the
-/// measured path; per-thread histograms merge after the run.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one sample (nanoseconds).
-    #[inline]
-    pub fn record(&mut self, nanos: u64) {
-        let bucket = 63 - (nanos | 1).leading_zeros() as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        if nanos > self.max {
-            self.max = nanos;
-        }
-    }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, n) in self.buckets.iter_mut().zip(other.buckets) {
-            *b += n;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest recorded sample (exact, not bucketed).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The `q`-quantile (`0 < q <= 1`) in nanoseconds, linearly
-    /// interpolated inside the winning power-of-two bucket and clamped
-    /// to the exact max. Zero if nothing was recorded.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                let lo = 1u64 << b;
-                let frac = (rank - seen) as f64 / n as f64;
-                let v = lo as f64 * (1.0 + frac);
-                return (v as u64).min(self.max);
-            }
-            seen += n;
-        }
-        self.max
-    }
-}
-
-/// Run `threads` workers for `duration`, collecting per-op latencies
-/// into per-thread [`Histogram`]s (merged on return). Each worker call
-/// performs one operation and records its latency into the histogram
-/// it is handed — the worker owns the `Instant` bracketing, so setup
-/// that is not the measured operation (workload generation, key
-/// sampling) stays outside the timed region. The paired `f64` is
-/// recorded samples per second.
-pub fn run_latency<'a, F>(threads: usize, duration: Duration, make_worker: F) -> (f64, Histogram)
-where
-    F: Fn(usize) -> Box<dyn FnMut(&mut Histogram) + Send + 'a> + Sync + 'a,
-{
-    let stop = AtomicBool::new(false);
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let stop = &stop;
-                let barrier = &barrier;
-                let make_worker = &make_worker;
-                scope.spawn(move || {
-                    let mut worker = make_worker(t);
-                    let mut hist = Histogram::default();
-                    barrier.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        worker(&mut hist);
-                    }
-                    hist
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-        let mut merged = Histogram::default();
-        for h in handles {
-            merged.merge(&h.join().unwrap());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        (merged.count() as f64 / elapsed, merged)
-    })
-}
-
-/// Run independent sweep cells — sequentially by default, or across
-/// scoped worker threads when `LLX_BENCH_PAR` is set (each cell builds
-/// its own structure, so cells are embarrassingly parallel; parallel
-/// runs measure contention between cells and are for wall-clock, not
-/// for baseline numbers). Results come back in job order either way.
-pub fn run_cells<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    if !workloads::knobs::bench_parallel() || jobs.len() <= 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs.len());
-    let results: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    // A shared work queue: cells vary wildly in duration, so dynamic
-    // stealing beats static chunking.
-    let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some((i, job)) = queue.lock().unwrap().pop() else {
-                    break;
-                };
-                *results[i].lock().unwrap() = Some(job());
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("every cell ran"))
-        .collect()
-}
 
 /// Run `threads` workers for `duration`, returning total operations per
 /// second.
@@ -205,10 +48,8 @@ where
     })
 }
 
-/// Render a table: header row plus data rows, space-aligned. Every
-/// printed table is also captured for `--json` output.
+/// Render a table: header row plus data rows, space-aligned.
 pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
-    crate::json::record_table(title, header, rows);
     println!("\n## {title}\n");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -233,19 +74,6 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
     );
     for row in rows {
         println!("{}", fmt_row(row));
-    }
-}
-
-/// Format nanoseconds human-readably (single token, table-friendly).
-pub fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2}s", ns as f64 / 1e9)
     }
 }
 

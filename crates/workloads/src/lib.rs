@@ -86,8 +86,8 @@ impl Mix {
     /// removers. This is the shape that defeats purely per-thread
     /// resource caching (one thread only retires, its partner only
     /// allocates), so it is the showcase workload for the SCX-record
-    /// pool's cross-thread shard handoff and the `bench-harness lat`
-    /// experiment. Use an even thread count for a balanced pipeline.
+    /// pool's cross-thread shard handoff. Use an even thread count for
+    /// a balanced pipeline.
     pub fn pipeline(thread: usize) -> Self {
         if thread.is_multiple_of(2) {
             Mix::insert_only()
@@ -255,14 +255,12 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_STRESS_MILLIS` | stress/concurrent tests (`llx-scx`, `multiset`, `trees`, root `conc_stress`) | duration (ms) of each stop-flag churn phase (defaults 100–200) |
 /// | `LLX_STRESS_SCALE` | bounded stress loops | integer multiplier for iteration counts (default 1) |
 /// | `LLX_LIN_ROUNDS_SCALE` | root `linearizability` tests | integer multiplier for WGL-checked rounds per structure (default 1) |
-/// | `LLX_SCAN_PCT` | `bench-harness` (`compare`, E4, E5) | percent of generated operations that are range scans, taken from the lookup share (default 0; see [`Mix::with_scan_percent`]) |
+/// | `LLX_SCAN_PCT` | `bench-harness compare` | percent of generated operations that are range scans, taken from the lookup share (default 0; see [`Mix::with_scan_percent`]) |
 /// | `LLX_SCAN_RANGE` | `bench-harness`, scan-mix stress tests | width (number of keys) of each scanned range (default 16) |
 /// | `LLX_SCAN_WINDOW` | scan-mix stress tests, `bench-harness scanwin` | keys per validated window of a **windowed** scan cursor; `0` (default) keeps scans atomic (whole-range snapshots). Stress runs with a window also assert the per-window conservation laws |
 /// | `LLX_SCANWIN_WRITE_RATE` | `bench-harness scanwin` | target updates/second of the fixed-rate writer each `scanwin` cell runs against (default 2000) |
-/// | `LLX_BENCH_PAR` | `bench-harness` (`compare`, `scanwin`) | `1`/`on`/`true` runs sweep cells in parallel on scoped threads (cells are independent structures); default off so single-core baselines stay comparable |
 /// | `LLX_BENCH_CELL_MILLIS` | `bench-harness` throughput experiments | duration (ms) of each measured throughput cell (default 300; CI smoke runs use ~20) |
-/// | `LLX_BENCH_JSON` | `bench-harness` | path to also write every experiment table + pool counters as JSON (same as `--json PATH`); machine-readable cross-PR benchmark trail |
-/// | `LLX_EPOCH_BUDGET` | `crossbeam-epoch` shim (and the `bench-harness lat` budgeted column, default 32 there) | max deferred closures run per amortized collection tick inside `pin()`; `0` (default) = unbounded. `Guard::flush` is never budgeted |
+/// | `LLX_EPOCH_BUDGET` | `crossbeam-epoch` shim | max deferred closures run per amortized collection tick inside `pin()`; `0` (default) = unbounded. `Guard::flush` is never budgeted |
 /// | `LLX_EPOCH_BG` | `crossbeam-epoch` shim | `1`/`on`/`true` moves amortized collection to a dedicated background reclaimer thread — mutators never run deferred closures from `pin()`. Sticky for the process; `flush` still drains inline deterministically |
 /// | `LLX_MODEL_BOUND` | `tests/model.rs` under `--cfg llx_model` (ci.sh `model` stage) | preemption bound of the deterministic schedule explorer: max voluntary context switches the DFS may inject per execution (default 2; forced switches at blocking/termination are free). The full `./ci.sh` run exports `1` for speed; the regression scenarios pin `>= 2` themselves |
 /// | `LLX_MODEL_STEPS` | `tests/model.rs` under `--cfg llx_model` | per-execution scheduling-step cap before a schedule is abandoned as a suspected livelock (default 20000); abandoned schedules are reported and make the run non-exhaustive |
@@ -270,13 +268,12 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_LIN_EVENTS` | root `linearizability` long-round tests (ci.sh `lin-long` stage) | events per long recorded round checked by the partitioned JIT checker (default 2048, floored at 64) |
 /// | `LLX_LIN_CHECKER` | root `linearizability` small-round tests | which backend judges the small WGL-sized rounds: `wgl`, `jit`, or `both` (default `both` — cross-checks and fails on disagreement). Long rounds always use JIT; the WGL bitmask cannot represent them |
 /// | `LLX_LIN_DIFF_CASES` | `linearize` `differential` test | histories generated for the WGL-vs-JIT differential sweep (default 3000, floor 2000; half are mutated) |
-/// | `LLX_STRUCT` | `conc-set` registry (`selected_specs`), so `bench-harness` `compare`/`lat`/`scanwin` and the root linearizability/stress/scan tests | comma-separated `StructureSpec` list selecting which structures the generic harnesses run — e.g. `patricia,sharded(patricia,4)`. Unset = every registered bare structure. Bad specs fail fast with a line/column parse error |
+/// | `LLX_STRUCT` | `conc-set` registry (`selected_specs`), so `bench-harness` `compare`/`scanwin` and the root linearizability/stress/scan tests | comma-separated `StructureSpec` list selecting which structures the generic harnesses run — e.g. `patricia,sharded(patricia,4)`. Unset = every registered bare structure. Bad specs fail fast with a line/column parse error |
 /// | `LLX_SHARDS` | `conc-set` `StructureSpec` parsing | shard count a `sharded(X)` spec without an explicit count resolves to (default 4, clamped to at least 1) |
 /// | `LLX_SHARD_DOMAIN` | `conc-set` `ShardedSet` partition map | the key prefix `[0, domain)` that is split evenly across shards; the last shard also owns the tail up to `MAX_KEY` (default 1024, clamped to at least 1). Keep it near the workload's key-range so small-key benches actually spread across shards |
-/// | `LLX_NET_ADDR` | `netsvc` server (`ServerConfig::default`), ci.sh `serve` stage | bind address of the network service tier (default `127.0.0.1:0`, an OS-assigned loopback port; `Server::local_addr` reports the real one) |
+/// | `LLX_NET_ADDR` | `netsvc` server (`ServerConfig::default`) | bind address of the network service tier (default `127.0.0.1:0`, an OS-assigned loopback port; `Server::local_addr` reports the real one) |
 /// | `LLX_NET_BATCH` | `netsvc` sessions | max pipelined requests drained into one server-side batch; the batch's point ops share a single epoch pin (default 64, clamped to 1..=4096) |
-/// | `LLX_NET_CONNS` | `bench-harness serve`/`chaos` | concurrent client connections per cell of the loopback client-mix experiments (default 4, clamped to 1..=256) |
-/// | `LLX_NET_PIPELINE` | `bench-harness serve` | the deep pipeline depth each cell compares against depth 1 (default 16, clamped to 2..=1024) |
+/// | `LLX_NET_CONNS` | `bench-harness chaos` | concurrent resilient client connections per chaos run (default 4, clamped to 1..=256) |
 /// | `LLX_NET_MAX_SESSIONS` | `netsvc` accept loop | live-session cap; connections past it are shed at accept time with one `Busy` frame, no thread spawned (default 256, clamped to 1..=16384) |
 /// | `LLX_NET_IDLE_MS` | `netsvc` sessions | idle-deadline reaper: a session that completes no *frame* in this window is evicted — the clock never resets on byte dribble, so slow-loris clients cannot hold a session thread (default 10000; `0` disables) |
 /// | `LLX_NET_MAX_SCANS` | `netsvc` sessions | concurrent `RangeScan`-stream cap; excess scans (and scans during shutdown drain) answer `Busy` while point ops keep flowing (default 32, clamped to 1..=4096) |
@@ -362,15 +359,6 @@ pub mod knobs {
         std::env::var("LLX_LIN_CHECKER").ok()
     }
 
-    /// `LLX_BENCH_PAR`: whether bench-harness sweeps run their cells in
-    /// parallel (default off — single-core baselines stay comparable).
-    pub fn bench_parallel() -> bool {
-        matches!(
-            std::env::var("LLX_BENCH_PAR").as_deref(),
-            Ok("1") | Ok("on") | Ok("true")
-        )
-    }
-
     /// `LLX_STRUCT`: the comma-separated `StructureSpec` list the
     /// generic harnesses run against (parsed by
     /// `conc_set::StructureSpec`), or `None` (unset / empty) for every
@@ -412,18 +400,10 @@ pub mod knobs {
         env_u64("LLX_NET_BATCH", 64).clamp(1, 4096) as usize
     }
 
-    /// `LLX_NET_CONNS`: concurrent client connections the
-    /// `bench-harness serve` experiment opens per cell (default 4,
-    /// clamped to 1..=256).
+    /// `LLX_NET_CONNS`: concurrent resilient client connections of a
+    /// `bench-harness chaos` run (default 4, clamped to 1..=256).
     pub fn net_conns() -> usize {
         env_u64("LLX_NET_CONNS", 4).clamp(1, 256) as usize
-    }
-
-    /// `LLX_NET_PIPELINE`: the deep pipeline depth of the
-    /// `bench-harness serve` sweep — each cell runs depth 1 and this
-    /// depth (default 16, clamped to 2..=1024).
-    pub fn net_pipeline() -> usize {
-        env_u64("LLX_NET_PIPELINE", 16).clamp(2, 1024) as usize
     }
 
     /// `LLX_NET_MAX_SESSIONS`: live-session cap of a `netsvc` server;
