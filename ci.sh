@@ -13,10 +13,12 @@
 #   test           tier-1 test suite (debug profile, small default knobs);
 #                  also the only stage that runs the doctests and
 #                  builds the examples (`cargo test` does both)
-#   debug-stress   llx-scx suite again with a longer churn phase: the
-#                  generation-stamp ABA detectors and reclamation
-#                  ledgers only exist under debug_assertions, and rare
-#                  races need soak time the tier-1 defaults don't give
+#   debug-stress   llx-scx, trees and multiset suites again with a
+#                  longer churn phase: the generation-stamp ABA
+#                  detectors, the Data-record lifecycle check and the
+#                  reclamation ledgers only exist under
+#                  debug_assertions, and rare races need soak time the
+#                  tier-1 defaults don't give
 #   scanwin        windowed scan cursors under churn: a release leg
 #                  running the long windowed-scan stress/cursor tests
 #                  (per-window conservation laws checked mid-churn) and
@@ -136,12 +138,14 @@ stage_test() {
 }
 
 stage_debug_stress() {
-    # The `test` stage already runs this suite (debug profile) at the
-    # small default knobs; re-run it with a much longer churn phase so
+    # The `test` stage already runs these suites (debug profile) at the
+    # small default knobs; re-run them with a much longer churn phase so
     # the debug-only detectors — the generation-stamp ABA asserts at
-    # LLX revalidation and freezing-CAS displacement — get enough soak
-    # to catch rare races, not just a smoke pass.
-    LLX_STRESS_MILLIS=600 cargo test -q -p llx-scx
+    # LLX revalidation and freezing-CAS displacement, and the
+    # Data-record lifecycle check on the recycled node path the trees
+    # and multiset drive — get enough soak to catch rare races, not
+    # just a smoke pass.
+    LLX_STRESS_MILLIS=600 cargo test -q -p llx-scx -p trees -p multiset
 }
 
 stage_scanwin() {

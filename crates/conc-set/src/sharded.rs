@@ -16,10 +16,10 @@
 //! * a point op touches exactly one shard: `shard_of(key) =
 //!   min(key / width, N-1)` — one divide, no search.
 //!
-//! **Reclamation is not partitioned.** The SCX-record pool's free
-//! lists are per *thread*, not per shard, and its blocks are
-//! layout-uniform dead memory, so every shard draws from and feeds the
-//! same per-thread lists and the one process-wide parked list.
+//! **Reclamation is not partitioned.** The record pool's free lists
+//! are per *thread* and layout, not per shard, and its blocks are dead
+//! memory, so every shard draws from and feeds the same per-thread
+//! lists and the same process-wide parked lists.
 //!
 //! **Stitched scans.** [`scan`](ConcurrentOrderedSet::scan) returns a
 //! cursor that concatenates per-shard windowed cursors in ascending

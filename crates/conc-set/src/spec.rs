@@ -19,7 +19,7 @@
 //! parser reports errors with **line and column**, and [`Display`]
 //! round-trips: `spec.to_string()` re-parses to an equivalent spec and
 //! is the label every harness table prints. Every selector — the
-//! bench-harness `compare`/`lat`/`scanwin` sweeps and the root
+//! bench-harness `compare`/`scanwin` sweeps and the root
 //! linearizability/stress/scan tests — goes through [`selected_specs`],
 //! so setting `LLX_STRUCT=patricia,sharded(patricia,4)` retargets all
 //! of them at once with zero harness changes; future composites

@@ -19,7 +19,9 @@
 //! step, mark step, update CAS, commit/abort step — is an identifiable
 //! site in [`ops`]). The paper assumes a safe garbage collector; here
 //! that substrate is provided by `crossbeam-epoch` plus a reference count
-//! on SCX-records (see the `reclaim` module's source for the protocol).
+//! on SCX-records (see the `reclaim` module's source for the protocol),
+//! and dead records of both kinds are recycled through a per-thread
+//! pool (the `pool` module).
 //!
 //! # Example
 //!
@@ -114,25 +116,29 @@ pub fn pin() -> Guard {
     crossbeam_epoch::pin()
 }
 
-/// Counters of the per-thread SCX-record pool (process-global, monotone).
+/// Counters of the per-thread record pool (process-global, monotone).
 ///
-/// `hits` / `misses` count pool allocations that did / did not reuse a
-/// recycled block; `defers` counts `defer_unchecked` calls issued for
-/// SCX-record reclamation — roughly one per 32 retired records.
+/// The pool recycles both SCX-records and Data-records. `hits` /
+/// `misses` count SCX-record allocations only, so `hits + misses` is
+/// the number of SCX-records allocated; `defers` and `handoffs` count
+/// the pool's work for both record kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Allocations served without the global allocator: from the
-    /// thread's free list, or from a shard adopted through the
+    /// SCX-record allocations served without the global allocator:
+    /// from the thread's free list, or from a shard adopted through the
     /// cross-thread handoff.
     pub hits: u64,
-    /// Allocations that fell through to the global allocator.
+    /// SCX-record allocations that fell through to the global
+    /// allocator.
     pub misses: u64,
-    /// Epoch-deferred closures issued (one per sealed batch).
+    /// Epoch-deferred closures issued, one per sealed batch of up to 32
+    /// staged records; a batch may mix SCX-records (either stage) and
+    /// retired Data-records.
     pub defers: u64,
-    /// Records/blocks handed across threads: orphan adoptions at
-    /// thread exit plus hot-path shard steals (free blocks published
-    /// by a retire-heavy thread and adopted by an allocate-heavy one —
-    /// the pipeline-workload case).
+    /// Records/blocks of either kind handed across threads: orphan
+    /// adoptions at thread exit plus hot-path shard steals (free blocks
+    /// published by a retire-heavy thread and adopted by an
+    /// allocate-heavy one — the pipeline-workload case).
     pub handoffs: u64,
 }
 
@@ -176,7 +182,7 @@ impl PoolStats {
     }
 }
 
-/// A snapshot of the SCX-record pool counters; see [`PoolStats`].
+/// A snapshot of the record pool counters; see [`PoolStats`].
 pub fn pool_stats() -> PoolStats {
     use crate::sync::Ordering;
     PoolStats {
@@ -199,18 +205,20 @@ pub fn reset_pool_stats() {
     pool::POOL_HANDOFFS.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
 }
 
-/// Drive SCX-record reclamation to quiescence from the calling thread.
+/// Drive record reclamation to quiescence from the calling thread.
 ///
-/// Seals this thread's partially filled retirement batch, adopts records
-/// stranded by threads that exited mid-batch, and repeatedly flushes the
-/// epoch queue so deferred destructions run. When the epoch shim runs
+/// Seals this thread's partially filled batches (SCX-records in either
+/// stage and retired Data-records alike), adopts records stranded by
+/// threads that exited mid-batch, and repeatedly flushes the epoch
+/// queue so deferred destructions run. When the epoch shim runs
 /// in background-reclaimer mode (`LLX_EPOCH_BG=1`), each round also
 /// waits for the reclaimer to complete a fresh drain cycle — its idle
 /// hook seals the batches that deferred closures staged in the
 /// reclaimer's own thread-locals — so the drain is deterministic in
 /// every collection mode. After all operations have ceased, all worker
-/// threads have joined and this has been called, [`live_scx_records`]
-/// drains back to its baseline (debug builds).
+/// threads have joined and this has been called, every retired
+/// Data-record has been dropped and [`live_scx_records`] drains back to
+/// its baseline (debug builds).
 ///
 /// Intended for tests and teardown paths; never required for safety.
 pub fn flush_reclamation() {

@@ -83,36 +83,48 @@ impl<const M: usize, I> Domain<M, I> {
     /// initial mutable field values. The record's `info` field points at
     /// the dummy SCX-record and its `marked` bit is false (paper Fig. 1).
     ///
-    /// The returned pointer is owned by the caller's data structure;
-    /// reclaim it with [`Domain::retire`] after unlinking (or
-    /// [`Domain::dealloc`] if it was never published).
+    /// The block comes from the calling thread's record pool (a block of
+    /// the same layout retired earlier, else a stolen parked shard, else
+    /// the allocator). The returned pointer is owned by the caller's
+    /// data structure and may leave only through [`Domain::retire`]
+    /// after unlinking or [`Domain::dealloc`] if it was never
+    /// published. It is **not** a `Box` allocation: `Box::from_raw` on
+    /// it is undefined behaviour.
     pub fn alloc(&self, immutable: I, init: [u64; M]) -> *const DataRecord<M, I> {
-        Box::into_raw(Box::new(DataRecord::new(immutable, init)))
+        crate::pool::alloc(DataRecord::new(immutable, init)).0
     }
 
     /// Reclaim a record once the data structure has unlinked it, deferred
     /// past the current epoch.
     ///
+    /// The record is staged on the calling thread's destruction list;
+    /// every 32 staged records share one epoch-deferred batch. When the
+    /// epoch expires the record is dropped in place and its block
+    /// recycled for the next allocation of the same layout.
+    /// [`flush_reclamation`](crate::flush_reclamation) seals a partial
+    /// batch. Debug builds panic at a second `retire`/`dealloc` of the
+    /// same record.
+    ///
     /// # Safety
     ///
     /// `record` must have been produced by [`Domain::alloc`] on this
     /// domain, must be unreachable for any thread that pins a *new*
-    /// guard, and must be retired at most once.
+    /// guard, and must be retired or deallocated at most once.
     pub unsafe fn retire(&self, record: *const DataRecord<M, I>, guard: &Guard) {
-        let p = record as *mut DataRecord<M, I>;
-        guard.defer_unchecked(move || drop(Box::from_raw(p)));
+        crate::pool::retire_data(record as *mut DataRecord<M, I>, guard);
     }
 
-    /// Immediately free a record that was allocated but never published
-    /// into the shared structure (e.g. a speculative node whose SCX
-    /// failed).
+    /// Immediately drop a record that is reachable by no other thread
+    /// (e.g. a speculative node whose SCX failed, or every node of a
+    /// structure being torn down) and recycle its block.
     ///
     /// # Safety
     ///
     /// `record` must have been produced by [`Domain::alloc`] on this
-    /// domain and never stored into any shared mutable field.
+    /// domain, must be reachable by no other thread, and must be
+    /// retired or deallocated at most once.
     pub unsafe fn dealloc(&self, record: *const DataRecord<M, I>) {
-        drop(Box::from_raw(record as *mut DataRecord<M, I>));
+        crate::pool::dealloc_data(record as *mut DataRecord<M, I>);
     }
 
     /// Dereference a packed record pointer under a guard.
@@ -253,11 +265,11 @@ impl<const M: usize, I> Domain<M, I> {
         );
 
         // line 21: create the SCX-record and do the real work in Help.
-        // Allocation goes through the per-thread pool, which recycles
-        // blocks of retired SCX-records (see `pool`).
+        // Allocation goes through the per-thread record pool, which
+        // recycles blocks of retired records (see `pool`).
         #[cfg(debug_assertions)]
         crate::scx_record::LIVE_SCX_RECORDS.fetch_add(1, Ordering::SeqCst); // ord: debug live-record count; SC so tests can assert exactly
-        let u = crate::pool::alloc(ScxRecord::<M, I> {
+        let u = crate::pool::alloc_scx(ScxRecord::<M, I> {
             hdr: ScxHeader::new_in_progress(),
             v,
             finalize_mask: req.finalize_mask,
@@ -572,6 +584,31 @@ mod tests {
 
     fn snap1<'g>(d: &Domain<1, ()>, r: &'g DataRecord<1, ()>, g: &'g Guard) -> Llx<'g, 1, ()> {
         d.llx(r, g).snapshot().unwrap()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released twice")]
+    fn second_retire_of_one_record_panics() {
+        let d: Domain<1, u64> = Domain::new();
+        let g = crossbeam_epoch::pin();
+        let r = d.alloc(0, [0]);
+        unsafe {
+            d.retire(r, &g);
+            d.retire(r, &g);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released twice")]
+    fn dealloc_after_dealloc_panics() {
+        let d: Domain<1, u64> = Domain::new();
+        let r = d.alloc(0, [0]);
+        unsafe {
+            d.dealloc(r);
+            d.dealloc(r);
+        }
     }
 
     #[test]

@@ -181,7 +181,7 @@ unsafe fn release_common<const M: usize, I>(h: &ScxHeader, hdr: *const ScxHeader
         {
             Ok(_) => {
                 if claim {
-                    crate::pool::retire(hdr as *mut ScxRecord<M, I>, guard);
+                    crate::pool::retire_scx(hdr as *mut ScxRecord<M, I>, guard);
                 }
                 return;
             }
@@ -219,7 +219,7 @@ pub(crate) unsafe fn mature_deps<const M: usize, I>(rec: *const ScxRecord<M, I>,
         {
             Ok(_) => {
                 if claim {
-                    crate::pool::retire(rec as *mut ScxRecord<M, I>, guard);
+                    crate::pool::retire_scx(rec as *mut ScxRecord<M, I>, guard);
                 }
                 return;
             }

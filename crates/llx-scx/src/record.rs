@@ -1,5 +1,7 @@
 //! Data-records (paper Fig. 1).
 
+#[cfg(debug_assertions)]
+use crate::sync::AtomicU8;
 use crate::sync::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::fmt;
 
@@ -15,9 +17,11 @@ use crate::reclaim;
 /// it (paper Fig. 1).
 ///
 /// Records are created through [`Domain::alloc`](crate::Domain::alloc)
-/// and live behind raw pointers managed by the enclosing data structure;
-/// they are reclaimed with [`Domain::retire`](crate::Domain::retire)
-/// (epoch-deferred) once unlinked.
+/// in blocks of the per-thread record pool and live behind raw pointers
+/// managed by the enclosing data structure. A record leaves only
+/// through [`Domain::retire`](crate::Domain::retire) (epoch-deferred,
+/// once unlinked) or [`Domain::dealloc`](crate::Domain::dealloc) (never
+/// published); it is not a `Box` allocation.
 ///
 /// Mutable fields are plain 64-bit words; use [`pack_ptr`](crate::pack_ptr)
 /// / [`unpack_ptr`](crate::unpack_ptr) to store pointers to other records.
@@ -31,7 +35,21 @@ pub struct DataRecord<const M: usize, I> {
     pub(crate) mutable: [AtomicU64; M],
     /// The user's immutable fields (`i_1 .. i_z` in the paper).
     pub(crate) immutable: I,
+    /// Debug builds: lifecycle state, [`LIVE`] from creation until the
+    /// one `retire`/`dealloc` swaps it to [`RETIRED`] (the same pattern
+    /// as `ScxHeader::gen`). A pooled block never returns to the
+    /// allocator, so a second release of one record would otherwise go
+    /// unnoticed and hand the block to two owners.
+    #[cfg(debug_assertions)]
+    life: AtomicU8,
 }
+
+/// Debug builds: [`DataRecord::life`] of a record not yet released.
+#[cfg(debug_assertions)]
+const LIVE: u8 = 1;
+/// Debug builds: [`DataRecord::life`] after `retire`/`dealloc`.
+#[cfg(debug_assertions)]
+const RETIRED: u8 = 2;
 
 impl<const M: usize, I> DataRecord<M, I> {
     pub(crate) fn new(immutable: I, init: [u64; M]) -> Self {
@@ -40,7 +58,30 @@ impl<const M: usize, I> DataRecord<M, I> {
             marked: AtomicBool::new(false),
             mutable: init.map(AtomicU64::new),
             immutable,
+            #[cfg(debug_assertions)]
+            life: AtomicU8::new(LIVE),
         }
+    }
+
+    /// Debug builds: record this record's one release (`retire` or
+    /// `dealloc`); panic, naming the address, on a second.
+    #[cfg(debug_assertions)]
+    pub(crate) fn mark_released(&self) {
+        let was = self.life.swap(RETIRED, Ordering::Relaxed); // ord: debug lifecycle check; the swap's atomicity alone catches a double release
+        assert!(
+            was == LIVE,
+            "Data-record {self:p} released twice: second retire/dealloc of the same record"
+        );
+    }
+
+    /// Debug builds: assert at maturation that the record was released.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_released(&self) {
+        let life = self.life.load(Ordering::Relaxed); // ord: debug lifecycle check; the epoch orders it after the release
+        assert!(
+            life == RETIRED,
+            "Data-record {self:p} matured in state {life}, not retired"
+        );
     }
 
     /// Read one mutable field directly (paper §3: reads of individual

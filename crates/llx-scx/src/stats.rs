@@ -112,7 +112,7 @@ pub struct StatsSnapshot {
     pub helps: u64,
     /// Shared-memory reads performed by VLX (Fig. 4 line 47).
     pub reads: u64,
-    /// SCX-record pool allocations served from a recycled block.
+    /// SCX-record allocations served from a recycled block.
     ///
     /// The four `pool_*` counters mirror [`crate::pool_stats`]: they
     /// are **process-global** (the pool hands blocks between arbitrary
@@ -120,12 +120,14 @@ pub struct StatsSnapshot {
     /// captured here so one snapshot carries both the algorithm's step
     /// counts and the reclamation pool's efficacy.
     pub pool_hits: u64,
-    /// Pool allocations that fell through to the global allocator.
+    /// SCX-record allocations that fell through to the global
+    /// allocator.
     pub pool_misses: u64,
-    /// Epoch-deferred closures issued for SCX-record reclamation.
+    /// Epoch-deferred batches issued by the pool (SCX-records and
+    /// Data-records).
     pub pool_defers: u64,
-    /// Records and blocks handed across threads: orphan adoptions plus
-    /// shard steals.
+    /// Records and blocks of either kind handed across threads: orphan
+    /// adoptions plus shard steals.
     pub pool_handoffs: u64,
 }
 

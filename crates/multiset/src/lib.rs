@@ -575,9 +575,9 @@ impl<K> Drop for Multiset<K> {
         let mut cur = self.head;
         while !cur.is_null() {
             // SAFETY: nodes are owned by the list; traversal under &mut.
-            let node = unsafe { Box::from_raw(cur as *mut Node<K>) };
-            let next_word = node.read(NEXT);
-            cur = next_word as usize as *const Node<K>;
+            let next = unsafe { (*cur).read(NEXT) } as usize as *const Node<K>;
+            unsafe { self.domain.dealloc(cur) };
+            cur = next;
         }
     }
 }

@@ -1,26 +1,32 @@
 //! CAS step counting for the E1 step-complexity experiment.
 //!
-//! A single process-wide counter suffices here: the experiment measures
-//! uncontended single-threaded costs, differencing the counter around
-//! one operation.
+//! The counter is per thread: the experiment measures uncontended
+//! single-threaded costs, differencing the counter around one operation
+//! on the measuring thread, and a thread-local count cannot be moved by
+//! a peer running kCAS concurrently (another test in the same binary,
+//! say).
 
-use crate::sync::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static CAS_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CAS_COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
 #[inline]
 pub(crate) fn bump_cas() {
-    CAS_COUNT.fetch_add(1, Ordering::Relaxed); // ord: stats counter; no sync role
+    // `try_with`: a kCAS issued from a TLS destructor simply goes
+    // uncounted.
+    let _ = CAS_COUNT.try_with(|c| c.set(c.get() + 1));
 }
 
-/// Total CAS steps executed by this crate since the last reset.
+/// CAS steps executed by the calling thread since its last reset.
 pub fn kcas_cas_count() -> u64 {
-    CAS_COUNT.load(Ordering::Relaxed) // ord: stats counter snapshot; no sync role
+    CAS_COUNT.with(Cell::get)
 }
 
-/// Reset the CAS step counter to zero.
+/// Reset the calling thread's CAS step counter to zero.
 pub fn kcas_reset_cas_count() {
-    CAS_COUNT.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
+    CAS_COUNT.with(|c| c.set(0));
 }
 
 #[cfg(test)]
@@ -42,5 +48,20 @@ mod tests {
             let cost = kcas_cas_count() - before;
             assert_eq!(cost, (3 * k + 1) as u64, "k = {k}");
         }
+    }
+
+    #[test]
+    fn peer_thread_kcas_does_not_move_this_threads_count() {
+        let before = kcas_cas_count();
+        std::thread::spawn(|| {
+            let cells: Vec<KcasCell> = (0..4).map(|_| KcasCell::new(0)).collect();
+            let g = crossbeam_epoch::pin();
+            let entries: Vec<_> = cells.iter().map(|c| (c, 0u64, 1u64)).collect();
+            assert!(kcas(&entries, &g));
+            assert_eq!(kcas_cas_count(), 13);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(kcas_cas_count(), before);
     }
 }

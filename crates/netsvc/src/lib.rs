@@ -14,8 +14,9 @@
 //!   request the client has pipelined into one batch and executes the
 //!   point ops under a single `crossbeam_epoch::pin()`; the
 //!   reclamation fee the paper's GC assumption charges per operation is
-//!   paid once per batch (`bench-harness serve` measures the resulting
-//!   pipeline-depth speedup).
+//!   paid once per batch (the repository benchmark's `net-pipe`
+//!   workload reports the resulting batch size as
+//!   `netsvc.batch_mean_ops`).
 //! * **Scans stream without blocking writers.** `RangeScan` maps to the
 //!   windowed [`ScanCursor`](conc_set::ScanCursor) of PR 4: each
 //!   validated window travels as its own frame, so server memory is one

@@ -342,13 +342,14 @@ impl<K, V> Drop for Bst<K, V> {
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
             // SAFETY: owned, exclusive.
-            let node = unsafe { Box::from_raw(p as *mut Node<K, V>) };
+            let node = unsafe { &*p };
             for f in [LEFT, RIGHT] {
                 let w = node.read(f);
                 if w != llx_scx::NULL {
                     stack.push(w as usize as *const Node<K, V>);
                 }
             }
+            unsafe { self.domain.dealloc(p) };
         }
     }
 }

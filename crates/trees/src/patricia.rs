@@ -644,13 +644,14 @@ impl<V> Drop for PatriciaTrie<V> {
         let mut stack = vec![self.root];
         while let Some(ptr) = stack.pop() {
             // SAFETY: exclusive during drop.
-            let node = unsafe { Box::from_raw(ptr as *mut Node<V>) };
+            let node = unsafe { &*ptr };
             for f in [LEFT, RIGHT] {
                 let w = node.read(f);
                 if w != llx_scx::NULL {
                     stack.push(w as usize as *const Node<V>);
                 }
             }
+            unsafe { self.domain.dealloc(ptr) };
         }
     }
 }

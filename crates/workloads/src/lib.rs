@@ -288,7 +288,7 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `PROPTEST_CASES` | every property test (proptest shim) | overrides the case count |
 /// | `PROPTEST_SEED` | every property test (proptest shim) | perturbs the otherwise deterministic streams |
 ///
-/// The `llx-scx` SCX-record pool has no knobs: its free-list capacity
+/// The `llx-scx` record pool has no knobs: its free-list capacity
 /// (256) and handoff-shard size (16) are constants, and pooling and the
 /// cross-thread handoff run unconditionally — each won its A/B on the
 /// repository benchmark (numbers in the `llx-scx` `pool` module docs),

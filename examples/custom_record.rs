@@ -115,9 +115,11 @@ impl Drop for Stack {
     fn drop(&mut self) {
         let mut cur = self.head;
         while !cur.is_null() {
-            // SAFETY: exclusive access during drop.
-            let node = unsafe { Box::from_raw(cur as *mut Node) };
-            cur = node.read(NEXT) as usize as *const Node;
+            // SAFETY: exclusive access during drop. Records live in
+            // pooled blocks, so they leave through `dealloc`, not `Box`.
+            let next = unsafe { (*cur).read(NEXT) } as usize as *const Node;
+            unsafe { self.domain.dealloc(cur) };
+            cur = next;
         }
     }
 }
