@@ -31,12 +31,6 @@
 #                  and a best-of-3 compare leg asserting the facade's
 #                  wide-range read throughput stays at parity with the
 #                  bare backend
-#   bg-reclaim     the stress/linearizability/reclamation suites again
-#                  with the epoch shim in background-reclaimer mode and
-#                  a small collection budget (LLX_EPOCH_BG=1
-#                  LLX_EPOCH_BUDGET=8): every leak check and
-#                  conservation law must hold when a dedicated thread
-#                  races the mutators for collection
 #   compare-smoke  bench-harness `compare` and `scanwin` at tiny knobs
 #                  (with a scan mix); asserts both tables parse and
 #                  include every registered structure, so a broken
@@ -48,11 +42,10 @@
 #                  skips epoch ticks) across five seeds in release
 #                  under `timeout`, asserting op-ledger conservation,
 #                  at-most-once mutations, zero SCX-record leaks and
-#                  bounded completion; plus a debug leg with the
-#                  background reclaimer on, so the generation-stamp
-#                  ABA detectors soak under injected reclamation
-#                  stalls. A failing seed replays bit-for-bit with
-#                  tools/fault-replay.sh
+#                  bounded completion; plus a debug leg, so the
+#                  generation-stamp ABA detectors soak under skipped
+#                  collection ticks. A failing seed replays
+#                  bit-for-bit with tools/fault-replay.sh
 #   lin-long       long-history linearizability: every structure
 #                  records >= 2048-event rounds (LLX_LIN_EVENTS) and
 #                  the per-key-compositional JIT checker must accept
@@ -86,8 +79,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test debug-stress scanwin shard bg-reclaim compare-smoke chaos lin-long bench-check model audit clippy)
+ALL_STAGES=(fmt build test debug-stress scanwin shard compare-smoke chaos lin-long bench-check model audit clippy)
 QUICK_STAGES=(fmt build test)
+
+# The header's "Stages (in order)" list must name exactly ALL_STAGES, in
+# order: it is edited by hand, so check it on every invocation.
+HEADER_STAGES=$(awk '/^# Stages/ { on = 1; next } on && /^#   [a-z]/ { print $2 } !/^#/ { exit }' "$(basename "$0")")
+if [[ "$HEADER_STAGES" != "$(printf '%s\n' "${ALL_STAGES[@]}")" ]]; then
+    echo "ci.sh header stage list disagrees with ALL_STAGES:" >&2
+    echo "  header:     $(tr '\n' ' ' <<<"$HEADER_STAGES")" >&2
+    echo "  ALL_STAGES: ${ALL_STAGES[*]}" >&2
+    exit 2
+fi
 
 QUICK=0
 ONLY=""
@@ -217,21 +220,6 @@ stage_shard() {
         }'
 }
 
-stage_bg_reclaim() {
-    # Background-reclaimer mode with a deliberately small budget: the
-    # linearizability harness, the cross-structure stress laws and the
-    # SCX-record ledger drains must all survive a dedicated reclaimer
-    # thread racing the mutators (and flush_reclamation must still
-    # reach quiescence — the leak checks depend on it).
-    LLX_EPOCH_BG=1 LLX_EPOCH_BUDGET=8 LLX_STRESS_MILLIS=120 \
-        cargo test -q -p llx-scx-repro \
-        --test linearizability --test conc_stress --test scan_cursor --test pool_handoff
-    # The llx-scx suite too: reclaim/stress exercise the two-stage
-    # refcount protocol whose deferred closures now run off-thread.
-    LLX_EPOCH_BG=1 LLX_EPOCH_BUDGET=8 LLX_STRESS_MILLIS=200 \
-        cargo test -q -p llx-scx
-}
-
 stage_compare_smoke() {
     local out structures s rows
     out="$(LLX_BENCH_CELL_MILLIS=15 LLX_SCAN_PCT=10 LLX_SCAN_RANGE=8 \
@@ -312,16 +300,15 @@ stage_chaos() {
     # op-ledger conservation, at-most-once mutations, zero SCX-record
     # leaks and bounded completion, under `timeout` so a wedged retry
     # loop or session thread fails the stage instead of hanging CI.
-    # Debug leg: background-reclaimer mode, where `epoch.bg.stall`
-    # has a reclaimer thread to stall and the generation-stamp ABA
-    # detectors (debug_assertions only) watch the reclamation races.
+    # Debug leg: the same fault mix with the generation-stamp ABA
+    # detectors (debug_assertions only) watching the reclamation races.
     cargo build -q --release -p bench-harness
     LLX_CHAOS_RUNS=5 LLX_CHAOS_OPS=1500 \
         timeout 300 target/release/bench-harness chaos
     cargo build -q -p bench-harness
-    LLX_EPOCH_BG=1 LLX_CHAOS_RUNS=2 LLX_CHAOS_OPS=400 \
+    LLX_CHAOS_RUNS=2 LLX_CHAOS_OPS=400 \
         timeout 300 target/debug/bench-harness chaos
-    echo "    chaos: 5 release seeds + 2 debug bg-reclaim seeds survived"
+    echo "    chaos: 5 release seeds + 2 debug seeds survived"
 }
 
 stage_lin_long() {
@@ -400,7 +387,6 @@ run_stage test stage_test
 run_stage debug-stress stage_debug_stress
 run_stage scanwin stage_scanwin
 run_stage shard stage_shard
-run_stage bg-reclaim stage_bg_reclaim
 run_stage compare-smoke stage_compare_smoke
 run_stage chaos stage_chaos
 run_stage lin-long stage_lin_long

@@ -730,12 +730,10 @@ pub fn scanwin() {
 
 /// The fault mix `chaos` arms when `LLX_FAULT_SPEC` does not override
 /// it: rare hard wire faults (connection kills, torn frames), frequent
-/// soft ones (refused scans, starved pool, skipped collection ticks,
-/// stalled background reclaimer).
+/// soft ones (refused scans, starved pool, skipped collection ticks).
 const CHAOS_SPEC: &str = "scx.pool.alloc_miss=prob:0.05,\
                           scx.pool.steal_fail=prob:0.2,\
                           epoch.tick.skip=prob:0.25,\
-                          epoch.bg.stall=prob:0.05,\
                           net.conn.drop=prob:0.002,\
                           net.frame.torn=prob:0.002,\
                           net.scan.drop=prob:0.05";

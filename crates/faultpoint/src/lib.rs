@@ -47,7 +47,6 @@
 //! | `scx.pool.alloc_miss` | `llx-scx` record pool | allocation skips the free list / shard steal and pays the global allocator (forced pool miss) |
 //! | `scx.pool.steal_fail` | `llx-scx` shard handoff | `steal_shard` returns `None` as if no shard were parked |
 //! | `epoch.tick.skip` | `crossbeam-epoch` shim `pin()` | the amortized collection tick is skipped (reclamation delayed; `Guard::flush` is never affected) |
-//! | `epoch.bg.stall` | `crossbeam-epoch` shim reclaimer | the background reclaimer sleeps 2 ms before its drain pass |
 //! | `net.conn.drop` | `netsvc` session loop | the session drops the connection mid-batch, before answering the current request |
 //! | `net.frame.torn` | `netsvc` reply path | the response frame is cut mid-payload and the connection dropped |
 //! | `net.scan.drop` | `netsvc` scan streamer | the connection is dropped between two `ScanWindow` frames |

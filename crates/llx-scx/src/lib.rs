@@ -210,19 +210,15 @@ pub fn reset_pool_stats() {
 /// Seals this thread's partially filled batches (SCX-records in either
 /// stage and retired Data-records alike), adopts records stranded by
 /// threads that exited mid-batch, and repeatedly flushes the epoch
-/// queue so deferred destructions run. When the epoch shim runs
-/// in background-reclaimer mode (`LLX_EPOCH_BG=1`), each round also
-/// waits for the reclaimer to complete a fresh drain cycle — its idle
-/// hook seals the batches that deferred closures staged in the
-/// reclaimer's own thread-locals — so the drain is deterministic in
-/// every collection mode. After all operations have ceased, all worker
-/// threads have joined and this has been called, every retired
-/// Data-record has been dropped and [`live_scx_records`] drains back to
-/// its baseline (debug builds).
+/// queue so deferred destructions run. Each `Guard::flush` also waits
+/// for closures another thread's collection is still running; work
+/// those closures stage on that thread is handed over when it exits.
+/// So after all operations have ceased, all worker threads have joined
+/// and this has been called, every retired Data-record has been dropped
+/// and [`live_scx_records`] drains back to its baseline (debug builds).
 ///
 /// Intended for tests and teardown paths; never required for safety.
 pub fn flush_reclamation() {
-    pool::ensure_reclaimer_hook();
     for _ in 0..16 {
         // Drain the global queue to empty (bounded: concurrent churn
         // can legitimately keep refilling it — quiescence is only
@@ -239,9 +235,5 @@ pub fn flush_reclamation() {
                 break;
             }
         }
-        // Unpinned: our slot must not hold the reclaimer's cycle back.
-        // Its idle hook seals whatever its closures staged in the
-        // reclaimer's own thread-locals; the next round drains that.
-        crossbeam_epoch::reclaimer_quiesce();
     }
 }

@@ -443,28 +443,10 @@ pub(crate) fn alloc_scx<const M: usize, I>(record: ScxRecord<M, I>) -> *mut ScxR
     p
 }
 
-/// Register the epoch shim's reclaimer idle hook once: when deferred
-/// closures run on the background reclaimer thread (`LLX_EPOCH_BG=1`),
-/// the re-staging they trigger lands in *that* thread's `POOL` — and
-/// the reclaimer never exits, so without this hook partial batches
-/// would sit there forever, stranding records from every leak check.
-/// The hook is the reclaimer's analogue of seal-at-thread-exit.
-pub(crate) fn ensure_reclaimer_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        crossbeam_epoch::set_reclaimer_idle_hook(|| {
-            let guard = crossbeam_epoch::pin();
-            seal_current_thread(&guard);
-            drain_orphans(&guard);
-        });
-    });
-}
-
 /// Stage a pending entry on one of the thread's lists; seal a batch
 /// when full. Defers the entry on its own only if the thread-local is
 /// gone (teardown).
 fn stage(entry: Pending, pick: fn(&mut ThreadPool) -> &mut Vec<Pending>, guard: &Guard) {
-    ensure_reclaimer_hook();
     let mut slot = Some(entry);
     let sealed = POOL.try_with(|pool| {
         let mut pool = pool.borrow_mut();

@@ -5,10 +5,7 @@
 //! Which thread's free list a matured block lands on depends on which
 //! thread runs the epoch collection, and any thread in this binary that
 //! pins may collect. The tests therefore take a file-local lock, so the
-//! only collector is the test's own `flush_reclamation`. In
-//! background-reclaimer mode (`LLX_EPOCH_BG=1`) the reclaimer thread
-//! collects instead, so the assertions that name the receiving thread
-//! are skipped there.
+//! only collector is the test's own `flush_reclamation`.
 
 use std::alloc::Layout;
 use std::collections::HashSet;
@@ -50,12 +47,10 @@ fn retired_and_deallocated_blocks_are_reused_by_the_same_thread() {
     drop(guard);
     llx_scx::flush_reclamation();
     let next = domain.alloc([9; 5], [9; 3]);
-    if !crossbeam_epoch::background_active() {
-        assert!(
-            retired.contains(&next),
-            "allocation after retire + flush missed the retired blocks"
-        );
-    }
+    assert!(
+        retired.contains(&next),
+        "allocation after retire + flush missed the retired blocks"
+    );
     unsafe { domain.dealloc(next) };
 }
 
@@ -123,13 +118,18 @@ fn records_staged_by_an_exited_thread_drop_exactly_once() {
     let domain: Domain<1, DropCounter> = Domain::new();
     let before = llx_scx::pool_stats();
     std::thread::scope(|s| {
+        // An explicit join waits for the thread's TLS destructors, which
+        // hand its staged records to the orphan list; the scope's
+        // implicit join only waits for the closure to return.
         s.spawn(|| {
             let guard = llx_scx::pin();
             for _ in 0..N {
                 let r = domain.alloc(DropCounter(Arc::clone(&drops)), [0]);
                 unsafe { domain.retire(r, &guard) };
             }
-        });
+        })
+        .join()
+        .unwrap();
     });
     llx_scx::flush_reclamation();
     assert_eq!(

@@ -17,19 +17,9 @@ fn defer_bump(guard: &crossbeam_epoch::Guard, ran: &Arc<AtomicUsize>) {
     unsafe { guard.defer_unchecked(move || ran.fetch_add(1, Ordering::SeqCst)) };
 }
 
-/// These assertions reason about inline ticks; under an env-forced
-/// `LLX_EPOCH_BG=1` the reclaimer drains asynchronously and "the tick
-/// was skipped" is unobservable from counters.
-fn inline_mode() -> bool {
-    !crossbeam_epoch::background_active()
-}
-
 #[test]
 fn skipped_ticks_starve_amortized_collection_but_not_flush() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    if !inline_mode() {
-        return;
-    }
     // Clear residue from other tests in this binary (none today, but
     // the queue is global).
     for _ in 0..16 {

@@ -61,41 +61,6 @@ impl Mix {
         }
     }
 
-    /// The pure-insertion mix: every operation inserts.
-    pub fn insert_only() -> Self {
-        Mix {
-            get: 0,
-            insert: 100,
-            remove: 0,
-            scan: 0,
-        }
-    }
-
-    /// The pure-removal mix: every operation removes.
-    pub fn remove_only() -> Self {
-        Mix {
-            get: 0,
-            insert: 0,
-            remove: 100,
-            scan: 0,
-        }
-    }
-
-    /// The **pipeline** mix: thread roles instead of a blended stream —
-    /// even threads are dedicated inserters, odd threads dedicated
-    /// removers. This is the shape that defeats purely per-thread
-    /// resource caching (one thread only retires, its partner only
-    /// allocates), so it is the showcase workload for the SCX-record
-    /// pool's cross-thread shard handoff. Use an even thread count for
-    /// a balanced pipeline.
-    pub fn pipeline(thread: usize) -> Self {
-        if thread.is_multiple_of(2) {
-            Mix::insert_only()
-        } else {
-            Mix::remove_only()
-        }
-    }
-
     /// This mix with `scan`% of the lookup share converted into range
     /// scans (updates are untouched, so ledger-based conservation tests
     /// keep their insert/remove balance).
@@ -260,8 +225,6 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_SCAN_WINDOW` | scan-mix stress tests, `bench-harness scanwin` | keys per validated window of a **windowed** scan cursor; `0` (default) keeps scans atomic (whole-range snapshots). Stress runs with a window also assert the per-window conservation laws |
 /// | `LLX_SCANWIN_WRITE_RATE` | `bench-harness scanwin` | target updates/second of the fixed-rate writer each `scanwin` cell runs against (default 2000) |
 /// | `LLX_BENCH_CELL_MILLIS` | `bench-harness` throughput experiments | duration (ms) of each measured throughput cell (default 300; CI smoke runs use ~20) |
-/// | `LLX_EPOCH_BUDGET` | `crossbeam-epoch` shim | max deferred closures run per amortized collection tick inside `pin()`; `0` (default) = unbounded. `Guard::flush` is never budgeted |
-/// | `LLX_EPOCH_BG` | `crossbeam-epoch` shim | `1`/`on`/`true` moves amortized collection to a dedicated background reclaimer thread — mutators never run deferred closures from `pin()`. Sticky for the process; `flush` still drains inline deterministically |
 /// | `LLX_MODEL_BOUND` | `tests/model.rs` under `--cfg llx_model` (ci.sh `model` stage) | preemption bound of the deterministic schedule explorer: max voluntary context switches the DFS may inject per execution (default 2; forced switches at blocking/termination are free). The full `./ci.sh` run exports `1` for speed; the regression scenarios pin `>= 2` themselves |
 /// | `LLX_MODEL_STEPS` | `tests/model.rs` under `--cfg llx_model` | per-execution scheduling-step cap before a schedule is abandoned as a suspected livelock (default 20000); abandoned schedules are reported and make the run non-exhaustive |
 /// | `LLX_MODEL_SCHEDULES` | `tests/model.rs` under `--cfg llx_model` | max schedules explored per scenario; `0` (default) = exhaustive up to the bound |
@@ -509,24 +472,6 @@ mod tests {
             assert_eq!(m.insert + m.remove, u);
             assert_eq!(m.scan, 0);
         }
-    }
-
-    #[test]
-    fn pipeline_mix_assigns_pure_roles() {
-        for t in 0..6 {
-            let m = Mix::pipeline(t);
-            m.validate().unwrap();
-            if t % 2 == 0 {
-                assert_eq!((m.insert, m.remove), (100, 0), "thread {t} inserts");
-            } else {
-                assert_eq!((m.insert, m.remove), (0, 100), "thread {t} removes");
-            }
-            assert_eq!(m.get + m.scan, 0, "pipeline roles never read");
-        }
-        let mut g = WorkloadGen::new(5, 0, KeyDist::uniform(8), Mix::insert_only());
-        assert!((0..100).all(|_| g.next_op().0 == OpKind::Insert));
-        let mut g = WorkloadGen::new(5, 1, KeyDist::uniform(8), Mix::remove_only());
-        assert!((0..100).all(|_| g.next_op().0 == OpKind::Remove));
     }
 
     #[test]

@@ -661,7 +661,7 @@ mod regression {
     }
 
     /// The epoch-shim collect TOCTOU (PR 2, seed race B): with the
-    /// `epoch_now` bound gated out of `collect_budgeted`, some schedule
+    /// `epoch_now` bound gated out of the shim's `collect`, some schedule
     /// reclaims under a pin the slot scan missed.
     #[test]
     fn finds_epoch_collect_toctou() {

@@ -27,13 +27,6 @@ fn churn(set: &Multiset<u64>, pairs: usize) -> u64 {
 
 #[test]
 fn producer_shards_feed_a_fresh_consumer_thread() {
-    // This test measures the POOL layer, so pin the epoch layer to an
-    // unbudgeted collection (a tiny env-forced LLX_EPOCH_BUDGET would
-    // starve maturation and the parked-shard supply with it; the
-    // bg-reclaim CI leg still covers background-mode pooling since
-    // background is sticky and unaffected by the budget override).
-    crossbeam_epoch::set_collect_budget(0);
-
     llx_scx::flush_reclamation();
     let baseline_live = llx_scx::live_scx_records();
 
@@ -77,10 +70,6 @@ fn producer_shards_feed_a_fresh_consumer_thread() {
         phase.handoffs > 0,
         "consumer thread never adopted a parked shard: {phase:?}"
     );
-    // Floor chosen to hold in every epoch mode: inline collection
-    // recycles promptly (rate well above this), while background
-    // collection (`LLX_EPOCH_BG=1`) matures on the reclaimer thread, so
-    // there the mutators' free lists are fed by the handoff alone.
     let rate = phase.hit_rate().expect("consumer allocated SCX records");
     assert!(
         rate > 0.15,
