@@ -19,11 +19,11 @@
 #                  reclamation ledgers only exist under
 #                  debug_assertions, and rare races need soak time the
 #                  tier-1 defaults don't give
-#   scanwin        windowed scan cursors under churn: a release leg
-#                  running the long windowed-scan stress/cursor tests
-#                  (per-window conservation laws checked mid-churn) and
-#                  a debug leg so the generation-stamp ABA detectors
-#                  soak the new cursor paths
+#   scanwin        the two tests that read LLX_SCAN_WINDOW (windowed
+#                  scans under churn, per-window conservation laws
+#                  checked mid-churn) at windows 3 and 16 in release and
+#                  4 in debug, so the generation-stamp ABA detectors
+#                  soak the cursor paths
 #   shard          the sharded scale-out facade: linearizability, stress
 #                  conservation, scan-cursor edge cases and the sharded
 #                  integration suite all at LLX_STRUCT='sharded(patricia,4)'
@@ -152,22 +152,20 @@ stage_debug_stress() {
 }
 
 stage_scanwin() {
-    # Release leg: long windowed scans under real churn. The stress
-    # harness asserts the per-window conservation laws on every emitted
-    # window (tiling, in-window ascent and bounds, key budget, positive
-    # counts) plus the quiescent windowed-scan = len() law; two window
-    # sizes cover tiny windows (maximal boundary count) and mid-size.
-    LLX_SCAN_WINDOW=3 LLX_STRESS_MILLIS=350 cargo test -q --release -p llx-scx-repro \
-        --test conc_stress every_structure_balances_under_windowed_scans
-    LLX_SCAN_WINDOW=3 LLX_STRESS_MILLIS=350 cargo test -q --release -p llx-scx-repro \
-        --test scan_cursor
-    LLX_SCAN_WINDOW=16 LLX_STRESS_MILLIS=250 cargo test -q --release -p llx-scx-repro \
-        --test scan_cursor windowed_scans_survive_concurrent_churn
-    # Debug leg: the generation-stamp ABA detectors and reclamation
-    # ledgers only exist under debug_assertions — soak the cursor's
-    # LLX-revalidation paths with them armed.
-    LLX_SCAN_WINDOW=4 LLX_STRESS_MILLIS=250 cargo test -q -p llx-scx-repro \
-        --test scan_cursor windowed_scans_survive_concurrent_churn
+    # Only the tests that read LLX_SCAN_WINDOW; the `test` stage runs
+    # every other scan test. The stress harness asserts the per-window
+    # conservation laws on every emitted window (tiling, in-window
+    # ascent and bounds, key budget, positive counts) plus the quiescent
+    # windowed-scan = len() law. Release: tiny windows (maximal boundary
+    # count) and mid-size. Debug: the generation-stamp ABA detectors and
+    # reclamation ledgers only exist under debug_assertions.
+    local tests=(--test conc_stress --test scan_cursor --
+        every_structure_balances_under_windowed_scans windowed_scans_survive_concurrent_churn)
+    local w
+    for w in 3 16; do
+        LLX_SCAN_WINDOW=$w LLX_STRESS_MILLIS=300 cargo test -q --release -p llx-scx-repro "${tests[@]}"
+    done
+    LLX_SCAN_WINDOW=4 LLX_STRESS_MILLIS=250 cargo test -q -p llx-scx-repro "${tests[@]}"
 }
 
 stage_shard() {

@@ -69,7 +69,7 @@ pub mod sharded;
 pub mod spec;
 pub mod stress;
 
-pub use scan::{ScanConsistency, ScanCursor, ScanIter, ScanOpts, ScanStats, ScanStep};
+pub use scan::{ScanCursor, ScanIter, ScanOpts, ScanStats, ScanStep, Window};
 pub use sharded::ShardedSet;
 pub use spec::{selected_specs, SpecError, StructureSpec};
 
@@ -156,6 +156,55 @@ impl ValidationReport {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+}
+
+/// One constituent's validation sweep, shared by the default
+/// [`validate_report`](ConcurrentOrderedSet::validate_report) and
+/// [`ShardedSet`]'s: visit `set`'s whole contents counting keys and
+/// occurrences, check every pair against the trait domain and the
+/// interval `[lo, hi]` the constituent owns, then run its
+/// structure-specific invariants. The first error found is prefixed
+/// with `context`.
+fn sweep<S: ConcurrentOrderedSet + ?Sized>(
+    set: &S,
+    label: String,
+    (lo, hi): (u64, u64),
+    context: &str,
+) -> ShardValidation {
+    let (mut keys, mut occurrences) = (0u64, 0u64);
+    let mut err: Option<String> = None;
+    set.fold_range(0, u64::MAX, &mut |k, c| {
+        keys += 1;
+        occurrences += c;
+        if err.is_some() {
+            return;
+        }
+        err = if k > MAX_KEY {
+            Some(format!("key {k} above the trait domain cap {MAX_KEY}"))
+        } else if c > MAX_COUNT {
+            Some(format!(
+                "count {c} for key {k} above the 62-bit cap {MAX_COUNT}"
+            ))
+        } else if !(lo..=hi).contains(&k) {
+            Some(format!(
+                "key {k} outside the shard's partition [{lo}, {hi}]"
+            ))
+        } else {
+            None
+        };
+    });
+    let error = err
+        .or_else(|| set.validate_structure().err())
+        .map(|e| format!("{context}: {e}"));
+    ShardValidation {
+        label,
+        lo,
+        hi,
+        len: set.len(),
+        keys,
+        occurrences,
+        error,
     }
 }
 
@@ -255,11 +304,6 @@ pub trait ConcurrentOrderedSet: Send + Sync {
     /// [`fold_range_windowed`](ConcurrentOrderedSet::fold_range_windowed)
     /// bounds. Never blocks writers. `lo > hi` denotes the empty range
     /// and calls `f` zero times.
-    ///
-    /// The in-repo implementations override this default with their
-    /// equivalent inherent whole-range loops, skipping the
-    /// boxed-cursor allocations on the atomic hot path; the semantics
-    /// are identical.
     fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
         let mut cursor = self.scan(lo, hi, ScanOpts::atomic());
         while cursor.next_window(f) != ScanStep::Done {}
@@ -360,37 +404,14 @@ pub trait ConcurrentOrderedSet: Send + Sync {
     /// entry per shard (plus a partition-ownership check), so a
     /// violation names the shard it lives in.
     fn validate_report(&self) -> ValidationReport {
-        let mut keys = 0u64;
-        let mut occurrences = 0u64;
-        let mut domain_err: Option<String> = None;
-        self.fold_range(0, u64::MAX, &mut |k, c| {
-            keys += 1;
-            occurrences += c;
-            if domain_err.is_none() {
-                if k > MAX_KEY {
-                    domain_err = Some(format!("key {k} above the trait domain cap {MAX_KEY}"));
-                } else if c > MAX_COUNT {
-                    domain_err = Some(format!(
-                        "count {c} for key {k} above the 62-bit cap {MAX_COUNT}"
-                    ));
-                }
-            }
-        });
-        let error = match domain_err {
-            Some(e) => Some(format!("{}: {e}", self.name())),
-            None => self.validate_structure().err(),
-        };
         ValidationReport {
             structure: self.name().to_string(),
-            shards: vec![ShardValidation {
-                label: self.name().to_string(),
-                lo: 0,
-                hi: MAX_KEY,
-                len: self.len(),
-                keys,
-                occurrences,
-                error,
-            }],
+            shards: vec![sweep(
+                self,
+                self.name().to_string(),
+                (0, MAX_KEY),
+                self.name(),
+            )],
         }
     }
 
@@ -456,296 +477,299 @@ impl<'s> dyn ConcurrentOrderedSet + 's {
     }
 }
 
-impl ConcurrentOrderedSet for multiset::Multiset<u64> {
+/// What a bare structure supplies to join the zoo. One generic
+/// [`ConcurrentOrderedSet`] impl over every `S: Backend` wraps it with
+/// everything the zoo shares — the domain check, the scan cursor and
+/// validation — written once for all seven backends.
+///
+/// Point ops take in-domain arguments (the adapter checks them first)
+/// and return occurrence deltas, per the trait contract.
+pub trait Backend: Send + Sync {
+    /// The registry and table name ([`ConcurrentOrderedSet::name`]).
+    const NAME: &'static str;
+
+    /// Counting or distinct semantics
+    /// ([`ConcurrentOrderedSet::counting`]).
+    const COUNTING: bool;
+
+    /// Occurrences of `key`.
+    fn get(&self, key: u64) -> u64;
+
+    /// Add occurrences of `key`; returns how many were added.
+    fn insert(&self, key: u64, count: u64) -> u64;
+
+    /// Remove occurrences of `key`; returns how many were removed.
+    fn remove(&self, key: u64, count: u64) -> u64;
+
+    /// Total occurrences across all keys (traversal semantics).
+    fn occurrences(&self) -> u64;
+
+    /// One validation attempt of one scan [`Window`] over `[from, hi]`,
+    /// with `from <= hi` and `max_keys > 0`: up to `max_keys` pairs,
+    /// validated by the structure's own discipline; `None` on
+    /// conflict. A pair's second element is the key's count on
+    /// counting structures and is ignored (one occurrence per key) on
+    /// distinct ones.
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window>;
+
+    /// Structure-specific invariants; call at quiescence.
+    fn check_invariants(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl<S: Backend> ConcurrentOrderedSet for S {
     fn name(&self) -> &'static str {
-        "scx-multiset"
+        S::NAME
     }
     fn counting(&self) -> bool {
-        true
+        S::COUNTING
     }
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
-        multiset::Multiset::get(self, key)
+        assert_in_domain(S::NAME, key, None);
+        Backend::get(self, key)
     }
     fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+        assert_in_domain(S::NAME, key, Some(count));
+        Backend::insert(self, key, count)
+    }
+    fn remove(&self, key: u64, count: u64) -> u64 {
+        assert_in_domain(S::NAME, key, Some(count));
+        Backend::remove(self, key, count)
+    }
+    fn len(&self) -> u64 {
+        Backend::occurrences(self)
+    }
+    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
+        scan::cursor(lo, hi, opts, move |from, hi, max_keys| {
+            let (mut pairs, end) = Backend::try_scan_window(self, from, hi, max_keys)?;
+            if !S::COUNTING {
+                pairs.iter_mut().for_each(|pair| pair.1 = 1);
+            }
+            Some((pairs, end))
+        })
+    }
+    fn validate_structure(&self) -> Result<(), String> {
+        Backend::check_invariants(self)
+    }
+}
+
+/// VLX-validated chain windows (paper §3).
+impl Backend for multiset::Multiset<u64> {
+    const NAME: &'static str = "scx-multiset";
+    const COUNTING: bool = true;
+    #[inline]
+    fn get(&self, key: u64) -> u64 {
+        multiset::Multiset::get(self, key)
+    }
+    #[inline]
+    fn insert(&self, key: u64, count: u64) -> u64 {
         multiset::Multiset::insert(self, key, count);
         count
     }
+    #[inline]
     fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
-        if multiset::Multiset::remove(self, key, count) {
-            count
-        } else {
-            0
-        }
+        u64::from(multiset::Multiset::remove(self, key, count)) * count
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         multiset::Multiset::len(self)
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // VLX-validated chain windows (paper §3); see
-        // `Multiset::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            multiset::Multiset::try_scan_window(self, from, hi, max)
-        })
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        multiset::Multiset::try_scan_window(self, from, hi, max_keys)
     }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        // Same semantics as the provided cursor-driven default; the
-        // inherent whole-range loop skips the boxed-cursor allocations
-        // on the atomic hot path.
-        multiset::Multiset::fold_range(self, lo, hi, (), |(), k, c| f(k, c));
-    }
-    fn validate_structure(&self) -> Result<(), String> {
-        self.check_invariants()
+    fn check_invariants(&self) -> Result<(), String> {
+        multiset::Multiset::check_invariants(self)
     }
 }
 
-impl ConcurrentOrderedSet for mwcas::KcasMultiset {
-    fn name(&self) -> &'static str {
-        "kcas-multiset"
-    }
-    fn counting(&self) -> bool {
-        true
-    }
+/// Identity-kCAS-validated windows.
+impl Backend for mwcas::KcasMultiset {
+    const NAME: &'static str = "kcas-multiset";
+    const COUNTING: bool = true;
+    #[inline]
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
         mwcas::KcasMultiset::get(self, key)
     }
+    #[inline]
     fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
         mwcas::KcasMultiset::insert(self, key, count);
         count
     }
+    #[inline]
     fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
-        if mwcas::KcasMultiset::remove(self, key, count) {
-            count
-        } else {
-            0
-        }
+        u64::from(mwcas::KcasMultiset::remove(self, key, count)) * count
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         mwcas::KcasMultiset::len(self)
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // Identity-kCAS-validated windows; see
-        // `KcasMultiset::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            mwcas::KcasMultiset::try_scan_window(self, from, hi, max)
-        })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        mwcas::KcasMultiset::fold_range(self, lo, hi, (), |(), k, c| f(k, c));
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        mwcas::KcasMultiset::try_scan_window(self, from, hi, max_keys)
     }
 }
 
-impl ConcurrentOrderedSet for lockbased::CoarseMultiset<u64> {
-    fn name(&self) -> &'static str {
-        "coarse-multiset"
-    }
-    fn counting(&self) -> bool {
-        true
-    }
+/// Each window reads under the structure's single mutex; never
+/// retries.
+impl Backend for lockbased::CoarseMultiset<u64> {
+    const NAME: &'static str = "coarse-multiset";
+    const COUNTING: bool = true;
+    #[inline]
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
         lockbased::CoarseMultiset::get(self, key)
     }
+    #[inline]
     fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
         lockbased::CoarseMultiset::insert(self, key, count);
         count
     }
+    #[inline]
     fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
-        if lockbased::CoarseMultiset::remove(self, key, count) {
-            count
-        } else {
-            0
-        }
+        u64::from(lockbased::CoarseMultiset::remove(self, key, count)) * count
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         lockbased::CoarseMultiset::len(self)
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // Each window reads under the structure's single mutex; never
-        // retries.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            lockbased::CoarseMultiset::try_scan_window(self, from, hi, max)
-        })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        lockbased::CoarseMultiset::fold_range(self, lo, hi, (), |(), k, c| f(*k, c));
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        lockbased::CoarseMultiset::try_scan_window(self, from, hi, max_keys)
     }
 }
 
-impl ConcurrentOrderedSet for lockbased::HandOverHandMultiset<u64> {
-    fn name(&self) -> &'static str {
-        "hoh-multiset"
-    }
-    fn counting(&self) -> bool {
-        true
-    }
+/// Window lock-crabbing: a bounded lock span per window.
+impl Backend for lockbased::HandOverHandMultiset<u64> {
+    const NAME: &'static str = "hoh-multiset";
+    const COUNTING: bool = true;
+    #[inline]
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
         lockbased::HandOverHandMultiset::get(self, key)
     }
+    #[inline]
     fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
         lockbased::HandOverHandMultiset::insert(self, key, count);
         count
     }
+    #[inline]
     fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
-        if lockbased::HandOverHandMultiset::remove(self, key, count) {
-            count
-        } else {
-            0
-        }
+        u64::from(lockbased::HandOverHandMultiset::remove(self, key, count)) * count
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         lockbased::HandOverHandMultiset::len(self)
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // Window lock-crabbing (bounded lock span per window); see
-        // `HandOverHandMultiset::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            lockbased::HandOverHandMultiset::try_scan_window(self, from, hi, max)
-        })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        lockbased::HandOverHandMultiset::fold_range(self, lo, hi, (), |(), k, c| f(k, c));
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        lockbased::HandOverHandMultiset::try_scan_window(self, from, hi, max_keys)
     }
 }
 
-impl ConcurrentOrderedSet for trees::Bst<u64, u64> {
-    fn name(&self) -> &'static str {
-        "bst"
-    }
-    fn counting(&self) -> bool {
-        false
-    }
+/// VLX-validated windowed in-order walk.
+impl Backend for trees::Bst<u64, u64> {
+    const NAME: &'static str = "bst";
+    const COUNTING: bool = false;
+    #[inline]
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
         u64::from(self.contains(key))
     }
-    fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+    #[inline]
+    fn insert(&self, key: u64, _count: u64) -> u64 {
         u64::from(trees::Bst::insert(self, key, key))
     }
-    fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+    #[inline]
+    fn remove(&self, key: u64, _count: u64) -> u64 {
         u64::from(trees::Bst::remove(self, key).is_some())
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         trees::Bst::len(self) as u64
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // VLX-validated windowed in-order walk; see
-        // `Bst::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            trees::Bst::try_scan_window(self, from, hi, max)
-        })
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        trees::Bst::try_scan_window(self, from, hi, max_keys)
     }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        trees::Bst::fold_range(self, lo, hi, (), |(), k, _v| f(k, 1));
-    }
-    fn validate_structure(&self) -> Result<(), String> {
-        self.check_invariants()
+    fn check_invariants(&self) -> Result<(), String> {
+        trees::Bst::check_invariants(self)
     }
 }
 
-impl ConcurrentOrderedSet for trees::ChromaticTree<u64, u64> {
-    fn name(&self) -> &'static str {
-        "chromatic"
-    }
-    fn counting(&self) -> bool {
-        false
-    }
+/// VLX-validated windowed in-order walk; rebalancing SCXs on visited
+/// nodes surface as (spurious, safe) retries.
+impl Backend for trees::ChromaticTree<u64, u64> {
+    const NAME: &'static str = "chromatic";
+    const COUNTING: bool = false;
+    #[inline]
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
         u64::from(self.contains(key))
     }
-    fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+    #[inline]
+    fn insert(&self, key: u64, _count: u64) -> u64 {
         u64::from(trees::ChromaticTree::insert(self, key, key))
     }
-    fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+    #[inline]
+    fn remove(&self, key: u64, _count: u64) -> u64 {
         u64::from(trees::ChromaticTree::remove(self, key).is_some())
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         trees::ChromaticTree::len(self) as u64
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // VLX-validated windowed in-order walk; see
-        // `ChromaticTree::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            trees::ChromaticTree::try_scan_window(self, from, hi, max)
-        })
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        trees::ChromaticTree::try_scan_window(self, from, hi, max_keys)
     }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        trees::ChromaticTree::fold_range(self, lo, hi, (), |(), k, _v| f(k, 1));
-    }
-    fn validate_structure(&self) -> Result<(), String> {
-        self.check_invariants()?;
+    fn check_invariants(&self) -> Result<(), String> {
+        trees::ChromaticTree::check_invariants(self)?;
         self.check_balanced()
     }
 }
 
-impl ConcurrentOrderedSet for trees::PatriciaTrie<u64> {
-    fn name(&self) -> &'static str {
-        "patricia"
-    }
-    fn counting(&self) -> bool {
-        false
-    }
+/// Prefix-pruned, VLX-validated windowed walk.
+impl Backend for trees::PatriciaTrie<u64> {
+    const NAME: &'static str = "patricia";
+    const COUNTING: bool = false;
+    #[inline]
     fn get(&self, key: u64) -> u64 {
-        assert_in_domain(self.name(), key, None);
         u64::from(self.contains(key))
     }
-    fn insert(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+    #[inline]
+    fn insert(&self, key: u64, _count: u64) -> u64 {
         u64::from(trees::PatriciaTrie::insert(self, key, key))
     }
-    fn remove(&self, key: u64, count: u64) -> u64 {
-        assert_in_domain(self.name(), key, Some(count));
+    #[inline]
+    fn remove(&self, key: u64, _count: u64) -> u64 {
         u64::from(trees::PatriciaTrie::remove(self, key).is_some())
     }
-    fn len(&self) -> u64 {
+    fn occurrences(&self) -> u64 {
         trees::PatriciaTrie::len(self) as u64
     }
-    fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // Prefix-pruned, VLX-validated windowed walk; see
-        // `PatriciaTrie::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            trees::PatriciaTrie::try_scan_window(self, from, hi, max)
-        })
+    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
+        trees::PatriciaTrie::try_scan_window(self, from, hi, max_keys)
     }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        trees::PatriciaTrie::fold_range(self, lo, hi, (), |(), k, _v| f(k, 1));
-    }
-    fn validate_structure(&self) -> Result<(), String> {
-        self.check_invariants()
+    fn check_invariants(&self) -> Result<(), String> {
+        trees::PatriciaTrie::check_invariants(self)
     }
 }
 
 /// A constructor for one fresh, empty structure behind the trait.
 pub type Factory = fn() -> Box<dyn ConcurrentOrderedSet>;
 
-/// Factories for every structure in the workspace, in the order they
-/// appear in comparison tables: the three LLX/SCX structures first, then
-/// the kCAS rival, then the lock-based baselines.
-pub fn all_factories() -> &'static [Factory] {
-    &[
-        || Box::new(multiset::Multiset::<u64>::new()),
-        || Box::new(trees::ChromaticTree::<u64, u64>::new()),
-        || Box::new(trees::Bst::<u64, u64>::new()),
-        || Box::new(trees::PatriciaTrie::<u64>::new()),
-        || Box::new(mwcas::KcasMultiset::new()),
-        || Box::new(lockbased::HandOverHandMultiset::<u64>::new()),
-        || Box::new(lockbased::CoarseMultiset::<u64>::new()),
-    ]
+/// One registry row: a backend's static name and its constructor.
+const fn entry<S: Backend + Default + 'static>() -> (&'static str, Factory) {
+    (S::NAME, || Box::new(S::default()))
+}
+
+/// Every structure in the workspace, in the order they appear in
+/// comparison tables: the three LLX/SCX structures first, then the kCAS
+/// rival, then the lock-based baselines.
+const REGISTRY: [(&str, Factory); 7] = [
+    entry::<multiset::Multiset<u64>>(),
+    entry::<trees::ChromaticTree<u64, u64>>(),
+    entry::<trees::Bst<u64, u64>>(),
+    entry::<trees::PatriciaTrie<u64>>(),
+    entry::<mwcas::KcasMultiset>(),
+    entry::<lockbased::HandOverHandMultiset<u64>>(),
+    entry::<lockbased::CoarseMultiset<u64>>(),
+];
+
+/// Factories for every registered structure, in table order.
+pub fn all_factories() -> impl Iterator<Item = Factory> {
+    REGISTRY.iter().map(|&(_, factory)| factory)
+}
+
+/// The registered structure names, in table order; builds nothing.
+pub fn backend_names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|&(name, _)| name)
 }
 
 /// Look up a registry factory by structure name.
@@ -754,10 +778,10 @@ pub fn all_factories() -> &'static [Factory] {
 ///
 /// Panics if no structure with that name is registered.
 pub fn factory_by_name(name: &str) -> Factory {
-    all_factories()
+    REGISTRY
         .iter()
-        .copied()
-        .find(|f| f().name() == name)
+        .find(|&&(registered, _)| registered == name)
+        .map(|&(_, factory)| factory)
         .unwrap_or_else(|| panic!("unknown structure {name:?}"))
 }
 
@@ -767,7 +791,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_stable() {
-        let names: Vec<_> = all_factories().iter().map(|f| f().name()).collect();
+        let names: Vec<_> = backend_names().collect();
         assert_eq!(
             names,
             vec![
@@ -780,6 +804,10 @@ mod tests {
                 "coarse-multiset"
             ]
         );
+        // The static names are the names the built structures report.
+        for (name, factory) in backend_names().zip(all_factories()) {
+            assert_eq!(factory().name(), name);
+        }
     }
 
     #[test]

@@ -32,29 +32,16 @@
 
 use std::fmt;
 
-/// Consistency tier of a scan (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanConsistency {
-    /// The whole range is validated as a single snapshot; the scan has
-    /// one linearization point. The `window` option is ignored (it is
-    /// effectively `∞`).
-    Atomic,
-    /// Each window is validated independently; every window has its
-    /// own linearization point, in increasing key order.
-    PerWindow,
-}
-
 /// Options of [`ConcurrentOrderedSet::scan`](crate::ConcurrentOrderedSet::scan).
 ///
 /// Build with [`ScanOpts::atomic`] or [`ScanOpts::windowed`]; the
-/// fields are public so options can also be written literally.
+/// field is public so options can also be written literally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOpts {
-    /// Maximum keys emitted (and validated) per window; `None` means
-    /// unbounded. Ignored under [`ScanConsistency::Atomic`].
+    /// Maximum keys emitted (and validated) per window; `None` is the
+    /// atomic tier: the whole range is one window with one
+    /// linearization point.
     pub window: Option<u64>,
-    /// The consistency tier.
-    pub consistency: ScanConsistency,
 }
 
 impl ScanOpts {
@@ -62,14 +49,12 @@ impl ScanOpts {
     /// identical semantics to
     /// [`fold_range`](crate::ConcurrentOrderedSet::fold_range).
     pub fn atomic() -> Self {
-        ScanOpts {
-            window: None,
-            consistency: ScanConsistency::Atomic,
-        }
+        ScanOpts { window: None }
     }
 
     /// Per-window consistency with at most `window` keys per validated
-    /// window.
+    /// window; every window has its own linearization point, in
+    /// increasing key order.
     ///
     /// # Panics
     ///
@@ -78,16 +63,13 @@ impl ScanOpts {
         assert!(window > 0, "a scan window covers at least one key");
         ScanOpts {
             window: Some(window),
-            consistency: ScanConsistency::PerWindow,
         }
     }
 
     /// The per-attempt key budget this option set implies.
     pub(crate) fn max_keys(&self) -> usize {
-        match (self.consistency, self.window) {
-            (ScanConsistency::Atomic, _) | (ScanConsistency::PerWindow, None) => usize::MAX,
-            (ScanConsistency::PerWindow, Some(w)) => usize::try_from(w).unwrap_or(usize::MAX),
-        }
+        self.window
+            .map_or(usize::MAX, |w| usize::try_from(w).unwrap_or(usize::MAX))
     }
 }
 
@@ -262,43 +244,56 @@ pub struct ScanStats {
     pub retries: u64,
 }
 
-/// One window-collection attempt: `(from, hi, max_keys, emit)` →
-/// `Some((covered_hi, end))` when the window validated (pairs already
-/// emitted), `None` on conflict.
-type Attempt<'a> = dyn FnMut(u64, u64, usize, &mut dyn FnMut(u64, u64)) -> Option<(u64, bool)> + 'a;
+/// One validated scan window over `[from, hi]`: its `(key,
+/// occurrences)` pairs in ascending key order, and whether the walk
+/// exhausted the range. The pairs are the exact contents, at one
+/// linearization point, of `[from, hi]` when exhausted, else of
+/// `[from, last key]` (the key budget ran out).
+pub type Window = (Vec<(u64, u64)>, bool);
 
 /// The one cursor implementation behind every structure: generic over
-/// the structure's single-attempt window collector.
-struct WindowCursor<'a> {
+/// the structure's single-attempt window collector, which takes
+/// `(from, hi, max_keys)` with `from <= hi` and returns the validated
+/// [`Window`], or `None` on conflict.
+struct WindowCursor<F> {
     from: u64,
     hi: u64,
     max_keys: usize,
     done: bool,
     windows: u64,
     retries: u64,
-    attempt: Box<Attempt<'a>>,
+    attempt: F,
 }
 
-impl ScanCursor for WindowCursor<'_> {
+impl<F> ScanCursor for WindowCursor<F>
+where
+    F: FnMut(u64, u64, usize) -> Option<Window>,
+{
     fn next_window(&mut self, emit: &mut dyn FnMut(u64, u64)) -> ScanStep {
         if self.done {
             return ScanStep::Done;
         }
-        match (self.attempt)(self.from, self.hi, self.max_keys, emit) {
-            None => {
-                self.retries += 1;
-                ScanStep::Retry
-            }
-            Some((covered_hi, end)) => {
-                self.windows += 1;
-                if end || covered_hi >= self.hi {
-                    self.done = true;
-                } else {
-                    self.from = covered_hi + 1;
-                }
-                ScanStep::Emitted { hi_key: covered_hi }
-            }
+        let Some((pairs, end)) = (self.attempt)(self.from, self.hi, self.max_keys) else {
+            self.retries += 1;
+            return ScanStep::Retry;
+        };
+        self.windows += 1;
+        // The window certifies `[from, hi]` when the walk exhausted the
+        // range, else `[from, last key]`: a budget-capped window is
+        // never empty, and every later key is strictly greater.
+        let covered_hi = match pairs.last() {
+            Some(&(k, _)) if !end => k,
+            _ => self.hi,
+        };
+        for (k, c) in pairs {
+            emit(k, c);
         }
+        if covered_hi >= self.hi {
+            self.done = true;
+        } else {
+            self.from = covered_hi + 1;
+        }
+        ScanStep::Emitted { hi_key: covered_hi }
     }
 
     fn position(&self) -> Option<u64> {
@@ -314,13 +309,14 @@ impl ScanCursor for WindowCursor<'_> {
     }
 }
 
-/// Build the uniform cursor from a structure's single-attempt window
-/// collector (the glue every `ConcurrentOrderedSet::scan` impl uses).
+/// Build the uniform cursor over `[lo, hi]` from a structure's
+/// single-attempt window collector (see [`WindowCursor`]); `lo > hi`
+/// is the empty range, done before any attempt.
 pub(crate) fn cursor<'a>(
     lo: u64,
     hi: u64,
     opts: ScanOpts,
-    attempt: impl FnMut(u64, u64, usize, &mut dyn FnMut(u64, u64)) -> Option<(u64, bool)> + 'a,
+    attempt: impl FnMut(u64, u64, usize) -> Option<Window> + 'a,
 ) -> Box<dyn ScanCursor + 'a> {
     Box::new(WindowCursor {
         from: lo,
@@ -329,82 +325,7 @@ pub(crate) fn cursor<'a>(
         done: lo > hi,
         windows: 0,
         retries: 0,
-        attempt: Box::new(attempt),
-    })
-}
-
-/// The one shape every structure's `try_scan_window` result shares, so
-/// the seven `ConcurrentOrderedSet::scan` impls reduce to a
-/// [`cursor_over`] call instead of seven hand-rolled adapter closures.
-pub(crate) trait WindowLike {
-    /// Feed the window's `(key, occurrences)` pairs to `emit`,
-    /// ascending.
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64));
-    /// `(covered_hi, end)` — the certified interval's upper bound and
-    /// whether the range is exhausted.
-    fn coverage(&self) -> (u64, bool);
-}
-
-impl WindowLike for multiset::ScanWindow<u64> {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, c) in &self.pairs {
-            emit(k, c);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-impl WindowLike for mwcas::ScanWindow {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, c) in &self.pairs {
-            emit(k, c);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-impl WindowLike for lockbased::ScanWindow<u64> {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, c) in &self.pairs {
-            emit(k, c);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-/// Distinct-semantics trees: every present key counts once, values are
-/// not occurrences.
-impl<V> WindowLike for trees::ScanWindow<u64, V> {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, _) in &self.pairs {
-            emit(k, 1);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-/// [`cursor`] specialized to a `try_scan_window`-shaped attempt: the
-/// structure supplies `(from, hi, max) -> Option<Window>`, this glue
-/// does the emit/coverage plumbing once for the whole zoo.
-pub(crate) fn cursor_over<'a, W: WindowLike>(
-    lo: u64,
-    hi: u64,
-    opts: ScanOpts,
-    mut attempt: impl FnMut(u64, u64, usize) -> Option<W> + 'a,
-) -> Box<dyn ScanCursor + 'a> {
-    cursor(lo, hi, opts, move |from, hi, max, emit| {
-        attempt(from, hi, max).map(|w| {
-            w.emit_into(emit);
-            w.coverage()
-        })
+        attempt,
     })
 }
 
@@ -412,15 +333,17 @@ pub(crate) fn cursor_over<'a, W: WindowLike>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn atomic_opts_ignore_window() {
-        assert_eq!(ScanOpts::atomic().max_keys(), usize::MAX);
-        let o = ScanOpts {
-            window: Some(4),
-            consistency: ScanConsistency::Atomic,
-        };
-        assert_eq!(o.max_keys(), usize::MAX);
-        assert_eq!(ScanOpts::windowed(4).max_keys(), 4);
+    /// A fake structure's window over `keys`: the keys of `[from, hi]`,
+    /// one occurrence each, capped at `max`.
+    fn window_of(keys: &[u64], from: u64, hi: u64, max: usize) -> Window {
+        let pairs: Vec<(u64, u64)> = keys
+            .iter()
+            .filter(|k| (from..=hi).contains(k))
+            .take(max)
+            .map(|&k| (k, 1))
+            .collect();
+        let end = pairs.len() < max;
+        (pairs, end)
     }
 
     #[test]
@@ -433,25 +356,10 @@ mod tests {
     fn cursor_tiles_the_range_and_counts_retries() {
         // A fake structure holding keys {1, 3, 4, 9}: the attempt
         // rejects every other call to exercise Retry accounting.
-        let keys = [1u64, 3, 4, 9];
         let mut flaky = false;
-        let mut c = cursor(0, 10, ScanOpts::windowed(2), move |from, hi, max, emit| {
+        let mut c = cursor(0, 10, ScanOpts::windowed(2), move |from, hi, max| {
             flaky = !flaky;
-            if flaky {
-                return None;
-            }
-            let window: Vec<u64> = keys
-                .iter()
-                .copied()
-                .filter(|k| from <= *k && *k <= hi)
-                .take(max)
-                .collect();
-            let end = window.len() < max;
-            let covered = if end { hi } else { *window.last().unwrap() };
-            for k in window {
-                emit(k, 1);
-            }
-            Some((covered, end))
+            (!flaky).then(|| window_of(&[1, 3, 4, 9], from, hi, max))
         });
         let mut seen = Vec::new();
         let mut steps = Vec::new();
@@ -488,26 +396,14 @@ mod tests {
         // Keys {2, 5, 7}; every window needs three attempts before it
         // validates — the iterator must absorb the retries internally
         // and still yield each pair exactly once, in order.
-        let keys = [2u64, 5, 7];
         let mut attempts_left = 3;
-        let cursor = cursor(0, 10, ScanOpts::windowed(1), move |from, hi, max, emit| {
+        let cursor = cursor(0, 10, ScanOpts::windowed(1), move |from, hi, max| {
             attempts_left -= 1;
             if attempts_left > 0 {
                 return None;
             }
             attempts_left = 3;
-            let window: Vec<u64> = keys
-                .iter()
-                .copied()
-                .filter(|k| from <= *k && *k <= hi)
-                .take(max)
-                .collect();
-            let end = window.len() < max;
-            let covered = if end { hi } else { *window.last().unwrap() };
-            for k in window {
-                emit(k, 1);
-            }
-            Some((covered, end))
+            Some(window_of(&[2, 5, 7], from, hi, max))
         });
         let mut it = ScanIter::new(cursor);
         let pairs: Vec<(u64, u64)> = it.by_ref().collect();
@@ -521,7 +417,7 @@ mod tests {
 
     #[test]
     fn inverted_range_is_done_immediately() {
-        let mut c = cursor(5, 2, ScanOpts::atomic(), |_, _, _, _| {
+        let mut c = cursor(5, 2, ScanOpts::atomic(), |_, _, _| {
             panic!("attempt must not run on an empty range")
         });
         assert_eq!(c.next_window(&mut |_, _| ()), ScanStep::Done);

@@ -42,7 +42,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::scan::{ScanCursor, ScanOpts, ScanStep};
 use crate::spec::StructureSpec;
-use crate::{ConcurrentOrderedSet, ShardValidation, ValidationReport, MAX_COUNT, MAX_KEY};
+use crate::{ConcurrentOrderedSet, ValidationReport, MAX_KEY};
 
 /// Intern a spec string so [`ConcurrentOrderedSet::name`] can return
 /// `&'static str` for dynamically composed structures. Bounded by the
@@ -178,46 +178,20 @@ impl ConcurrentOrderedSet for ShardedSet {
         })
     }
 
+    /// One sweep per shard; a key outside its shard's partition is the
+    /// check only a sharded validate can make.
     fn validate_report(&self) -> ValidationReport {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for (i, (set, &(lo, hi))) in self.shards.iter().zip(&self.bounds).enumerate() {
-            let mut keys = 0u64;
-            let mut occurrences = 0u64;
-            let mut err: Option<String> = None;
-            set.fold_range(0, u64::MAX, &mut |k, c| {
-                keys += 1;
-                occurrences += c;
-                if err.is_none() {
-                    if k > MAX_KEY {
-                        err = Some(format!("key {k} above the trait domain cap {MAX_KEY}"));
-                    } else if c > MAX_COUNT {
-                        err = Some(format!(
-                            "count {c} for key {k} above the 62-bit cap {MAX_COUNT}"
-                        ));
-                    } else if !(lo..=hi).contains(&k) {
-                        // The check only a sharded validate can make:
-                        // every key must live in the shard the
-                        // partition map routes it to.
-                        err = Some(format!(
-                            "key {k} outside the shard's partition [{lo}, {hi}]"
-                        ));
-                    }
-                }
-            });
-            let label = format!("shard {i} ({})", set.name());
-            let error = err
-                .or_else(|| set.validate_structure().err())
-                .map(|e| format!("{}: {label}: {e}", self.name));
-            shards.push(ShardValidation {
-                label,
-                lo,
-                hi,
-                len: set.len(),
-                keys,
-                occurrences,
-                error,
-            });
-        }
+        let shards = self
+            .shards
+            .iter()
+            .zip(&self.bounds)
+            .enumerate()
+            .map(|(i, (set, &bounds))| {
+                let label = format!("shard {i} ({})", set.name());
+                let context = format!("{}: {label}", self.name);
+                crate::sweep(&**set, label, bounds, &context)
+            })
+            .collect();
         ValidationReport {
             structure: self.name.to_string(),
             shards,

@@ -160,9 +160,8 @@ pub fn selected_specs() -> Vec<StructureSpec> {
         Some(list) => {
             StructureSpec::parse_list(&list).unwrap_or_else(|e| panic!("LLX_STRUCT={list:?}: {e}"))
         }
-        None => crate::all_factories()
-            .iter()
-            .map(|f| StructureSpec::Base(f().name().to_string()))
+        None => crate::backend_names()
+            .map(|name| StructureSpec::Base(name.to_string()))
             .collect(),
     }
 }
@@ -303,8 +302,8 @@ impl<'a> Parser<'a> {
                 shards,
             })
         } else {
-            if !crate::all_factories().iter().any(|f| f().name() == name) {
-                let known: Vec<&str> = crate::all_factories().iter().map(|f| f().name()).collect();
+            if !crate::backend_names().any(|known| known == name) {
+                let known: Vec<&str> = crate::backend_names().collect();
                 return Err(self.error_at(
                     name_pos,
                     format!("unknown structure {name:?} (expected one of {known:?}, or sharded(spec[,n]))"),
@@ -321,8 +320,7 @@ mod tests {
 
     #[test]
     fn bare_names_parse_and_round_trip() {
-        for factory in crate::all_factories() {
-            let name = factory().name();
+        for name in crate::backend_names() {
             let spec = StructureSpec::parse(name).unwrap();
             assert_eq!(spec, StructureSpec::Base(name.to_string()));
             assert_eq!(spec.to_string(), name);
@@ -406,10 +404,7 @@ mod tests {
     fn selected_specs_defaults_to_the_whole_registry() {
         if std::env::var("LLX_STRUCT").is_err() {
             let names: Vec<String> = selected_specs().iter().map(|s| s.to_string()).collect();
-            let registry: Vec<String> = crate::all_factories()
-                .iter()
-                .map(|f| f().name().to_string())
-                .collect();
+            let registry: Vec<String> = crate::backend_names().map(String::from).collect();
             assert_eq!(names, registry);
         }
     }

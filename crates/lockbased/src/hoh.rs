@@ -120,61 +120,38 @@ impl<K: Ord + Copy> HandOverHandMultiset<K> {
         }
     }
 
-    /// Fold over the `(key, count)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**.
+    /// One scan window over `[from, hi]` (`from <= hi`,
+    /// `max_keys > 0`): up to `max_keys` `(key, count)` pairs,
+    /// ascending, plus whether the range is exhausted.
     ///
     /// Lock-coupling alone cannot give a linearizable range scan (an
     /// insert behind the cursor plus one ahead of it would be observed
-    /// inconsistently), so the scan escalates from coupling to *range
-    /// crabbing*: it couples up to the predecessor of `lo`, then keeps
-    /// every lock from there through the first node beyond `hi`. With
-    /// all of those locks held the range is frozen — the snapshot's
-    /// linearization point is the moment the last lock is acquired.
-    /// Deadlock-free because all operations acquire locks in key order.
-    /// `lo > hi` folds nothing.
-    pub fn fold_range<A, F: FnMut(A, K, u64) -> A>(&self, lo: K, hi: K, init: A, mut f: F) -> A {
-        // The whole range as one window: a full-range crab.
-        let window = self
-            .try_scan_window(lo, hi, usize::MAX)
-            .expect("lock-based windows never conflict");
-        window
-            .pairs
-            .into_iter()
-            .fold(init, |acc, (k, c)| f(acc, k, c))
-    }
-
-    /// One scan window: hand-over-hand to the predecessor of `from`
-    /// (holding at most two locks), then *crab* — keep every lock —
-    /// over up to `max_keys` in-range nodes plus the window's
-    /// terminator. With all of those locks held the window is frozen;
-    /// its linearization point is the moment the last lock is
-    /// acquired, and the locks are released when the window returns.
-    /// Between windows the scan holds **no** locks, so writers
-    /// interleave freely at window boundaries — the bounded lock span
-    /// is the lock-based analogue of the optimistic structures'
-    /// bounded validation window. Always `Some` (lock acquisition
-    /// cannot conflict); deadlock-free because all operations acquire
-    /// locks in key order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(&self, from: K, hi: K, max_keys: usize) -> Option<crate::ScanWindow<K>> {
-        assert!(max_keys > 0, "a scan window covers at least one key");
-        let empty = |end| crate::ScanWindow {
-            pairs: Vec::new(),
-            covered_hi: hi,
-            end,
-        };
-        if from > hi {
-            return Some(empty(true));
-        }
+    /// inconsistently), so the window escalates from coupling to
+    /// *crabbing*: hand-over-hand to the predecessor of `from` (holding
+    /// at most two locks), then keep every lock over up to `max_keys`
+    /// in-range nodes plus the window's terminator. With all of those
+    /// locks held the window is frozen; its linearization point is the
+    /// moment the last lock is acquired, and the locks are released
+    /// when the window returns. Between windows the scan holds **no**
+    /// locks, so writers interleave freely at window boundaries — the
+    /// bounded lock span is the lock-based analogue of the optimistic
+    /// structures' bounded validation window. Always `Some` (lock
+    /// acquisition cannot conflict); deadlock-free because all
+    /// operations acquire locks in key order. `max_keys = usize::MAX`
+    /// is the whole-range atomic scan.
+    pub fn try_scan_window(
+        &self,
+        from: K,
+        hi: K,
+        max_keys: usize,
+    ) -> Option<(Vec<(K, u64)>, bool)> {
+        debug_assert!(from <= hi && max_keys > 0, "an empty scan window");
         // Phase 1: hand-over-hand to the predecessor of `from`, holding
         // at most two locks.
         let mut prev: NodeGuard<K> = Mutex::lock_arc(&self.head);
         loop {
             let Some(next_arc) = prev.next.clone() else {
-                return Some(empty(true)); // every key is below `from`
+                return Some((Vec::new(), true)); // every key is below `from`
             };
             let next: NodeGuard<K> = Mutex::lock_arc(&next_arc);
             match next.key {
@@ -183,15 +160,13 @@ impl<K: Ord + Copy> HandOverHandMultiset<K> {
                     // Phase 2: crab over the window, keeping all locks.
                     let mut held: Vec<NodeGuard<K>> = vec![prev, next];
                     let mut pairs: Vec<(K, u64)> = Vec::new();
-                    let mut end = true;
                     loop {
                         let last = held.last().expect("non-empty");
                         match last.key {
                             Some(k) if k <= hi => {
                                 pairs.push((k, last.count));
                                 if pairs.len() >= max_keys {
-                                    end = false;
-                                    break;
+                                    return Some((pairs, false));
                                 }
                             }
                             _ => break, // first node beyond the range
@@ -202,25 +177,10 @@ impl<K: Ord + Copy> HandOverHandMultiset<K> {
                         let g = Mutex::lock_arc(&next_arc);
                         held.push(g);
                     }
-                    let covered_hi = if end {
-                        hi
-                    } else {
-                        pairs.last().expect("a capped window is non-empty").0
-                    };
-                    return Some(crate::ScanWindow {
-                        pairs,
-                        covered_hi,
-                        end,
-                    });
+                    return Some((pairs, true));
                 }
             }
         }
-    }
-
-    /// Total occurrences with keys in `[lo, hi]` at a single
-    /// linearization point. See [`HandOverHandMultiset::fold_range`].
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _k, c| acc + c)
     }
 
     /// Collect `(key, count)` pairs in ascending key order.

@@ -25,22 +25,6 @@ use crate::{kcas, KcasCell};
 /// analogue of SCX finalization.
 const DEAD: u64 = crate::MAX_VALUE;
 
-/// One validated scan window (see [`KcasMultiset::try_scan_window`]):
-/// the exact `(key, count)` contents of `[from, covered_hi]` at the
-/// identity kCAS's linearization point.
-#[derive(Debug, Clone)]
-pub struct ScanWindow {
-    /// `(key, count)` pairs in ascending key order.
-    pub pairs: Vec<(u64, u64)>,
-    /// Inclusive upper bound of the interval this window certifies:
-    /// the requested `hi` when the walk exhausted the range, else the
-    /// last collected key (the window hit its key budget).
-    pub covered_hi: u64,
-    /// Whether the walk exhausted the range — `true` means the scan is
-    /// complete, `false` means resume from `covered_hi + 1`.
-    pub end: bool,
-}
-
 struct KNode {
     /// Immutable key; `u64::MAX` marks the tail sentinel.
     key: u64,
@@ -209,64 +193,30 @@ impl KcasMultiset {
         }
     }
 
-    /// Fold over the `(key, count)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**.
+    /// One snapshot-scan attempt over `[from, hi]` (`from <= hi`,
+    /// `max_keys > 0`): collect up to `max_keys` `(key, count)` pairs,
+    /// ascending, plus whether the range is exhausted, and validate
+    /// them with an **identity kCAS** (every `new == expected`) over
+    /// the predecessor's `next` plus both mutable fields of every
+    /// collected node.
     ///
     /// This is the kCAS analogue of the LLX/SCX multiset's VLX-validated
-    /// scan, and it showcases the paper's §2 cost argument from the read
-    /// side: lacking LLX/VLX, the only way to validate a multi-record
-    /// snapshot here is an *identity kCAS* (every `new == expected`)
-    /// over the predecessor's `next` plus both mutable fields of every
-    /// node in the range — `2m+1` descriptor installs for an `m`-node
-    /// range, each a CAS, versus VLX's `2m+1` plain reads. A successful
-    /// identity kCAS certifies all the cells held their expected values
-    /// simultaneously at its linearization point; removed nodes fail it
-    /// through their `DEAD` poison, and inserts through the snapshotted
-    /// `next` chain. Retries on conflict. `lo > hi` folds nothing.
-    pub fn fold_range<A, F: FnMut(A, u64, u64) -> A>(
+    /// scan, and it shows the paper's §2 cost argument from the read
+    /// side: `2m + 1` CAS-installed cells for an `m`-key window, where
+    /// VLX pays `2m + 1` plain reads. On success the pairs are the
+    /// exact contents of the covered interval (`[from, hi]` if
+    /// exhausted, else `[from, last key]`) at the kCAS's linearization
+    /// point: removed nodes fail it through their `DEAD` poison,
+    /// inserts through the snapshotted `next` chain. `None` means a
+    /// conflict; the caller decides whether to retry.
+    /// `max_keys = usize::MAX` is the whole-range atomic scan.
+    pub fn try_scan_window(
         &self,
-        lo: u64,
+        from: u64,
         hi: u64,
-        init: A,
-        mut f: F,
-    ) -> A {
-        if lo > hi {
-            return init;
-        }
-        let pairs = loop {
-            if let Some(window) = self.try_scan_window(lo, hi, usize::MAX) {
-                break window.pairs;
-            }
-        };
-        pairs.into_iter().fold(init, |acc, (k, c)| f(acc, k, c))
-    }
-
-    /// One bounded-window snapshot attempt: collect up to `max_keys`
-    /// keys of `[from, hi]` and validate the window with an **identity
-    /// kCAS** over the predecessor's `next` plus both mutable fields of
-    /// every collected node — `2m + 1` CAS-installed cells for an
-    /// `m`-key window, where the LLX/SCX multiset's VLX pays `2m + 1`
-    /// plain reads (the paper's §2 cost argument, per window).
-    ///
-    /// On success the returned [`ScanWindow`] is the exact contents of
-    /// `[from, window.covered_hi]` at the kCAS's linearization point
-    /// (removed nodes fail it through their `DEAD` poison, inserts
-    /// through the snapshotted `next` chain). `None` means a conflict;
-    /// the caller decides whether to retry. `max_keys = usize::MAX` is
-    /// the whole-range atomic scan ([`KcasMultiset::fold_range`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<ScanWindow> {
-        assert!(max_keys > 0, "a scan window covers at least one key");
-        if from > hi {
-            return Some(ScanWindow {
-                pairs: Vec::new(),
-                covered_hi: hi,
-                end: true,
-            });
-        }
+        max_keys: usize,
+    ) -> Option<(Vec<(u64, u64)>, bool)> {
+        debug_assert!(from <= hi && max_keys > 0, "an empty scan window");
         let guard = crossbeam_epoch::pin();
         // Plain-read traversal to the predecessor of `from`.
         // SAFETY: head never retired; successors epoch-protected.
@@ -311,25 +261,7 @@ impl KcasMultiset {
             }
             cur_word = next_word;
         }
-        if !kcas(&entries, &guard) {
-            return None;
-        }
-        let covered_hi = if end {
-            hi
-        } else {
-            out.last().expect("a capped window is non-empty").0
-        };
-        Some(ScanWindow {
-            pairs: out,
-            covered_hi,
-            end,
-        })
-    }
-
-    /// Total occurrences with keys in `[lo, hi]` at a single
-    /// linearization point. See [`KcasMultiset::fold_range`].
-    pub fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _k, c| acc + c)
+        kcas(&entries, &guard).then_some((out, end))
     }
 
     /// Collect `(key, count)` pairs in ascending key order (traversal

@@ -278,41 +278,19 @@ impl<K: Copy + Ord, V: Clone> Bst<K, V> {
         acc
     }
 
-    /// Fold over the `(key, value)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**: an
-    /// in-order walk that LLXs every visited node, prunes subtrees
-    /// disjoint from the range, and validates the visited set with one
-    /// VLX, retrying on conflict (see `scan` module docs). `lo > hi`
-    /// folds nothing.
-    pub fn fold_range<A, F: FnMut(A, K, &V) -> A>(&self, lo: K, hi: K, init: A, f: F) -> A {
-        crate::scan::fold_range_snapshot(&self.domain, self.root, lo, hi, init, f)
-    }
-
-    /// Number of keys in `[lo, hi]` at a single linearization point.
-    /// See [`Bst::fold_range`].
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _, _| acc + 1)
-    }
-
-    /// One bounded-window snapshot attempt: collect up to `max_keys`
-    /// keys of `[from, hi]` (ascending) and validate just the visited
-    /// nodes with one VLX. On success the returned
-    /// [`ScanWindow`](crate::ScanWindow) is the exact contents of
-    /// `[from, window.covered_hi]` at the VLX's linearization point;
-    /// `None` means a conflicting update was detected — the caller
-    /// decides whether to retry (this is the primitive the `conc-set`
-    /// scan cursor's bounded-retry windows are built on).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(
-        &self,
-        from: K,
-        hi: K,
-        max_keys: usize,
-    ) -> Option<crate::ScanWindow<K, V>> {
-        crate::scan::scan_window_bstlike(&self.domain, self.root, from, hi, max_keys)
+    /// One snapshot-scan attempt over `[from, hi]` (`from <= hi`,
+    /// `max_keys > 0`): an in-order walk that LLXs every visited node,
+    /// prunes subtrees disjoint from the range, stops after `max_keys`
+    /// keys and validates the visited set with one VLX (see the `scan`
+    /// module docs). On success returns the `(key, value)` pairs,
+    /// ascending, plus whether the range is exhausted: the pairs are
+    /// the exact contents of `[from, hi]` (exhausted) or of
+    /// `[from, last key]` (budget spent) at the VLX's linearization
+    /// point. `None` means a conflicting update was detected; the
+    /// caller decides whether to retry. `max_keys = usize::MAX` is the
+    /// whole-range atomic scan.
+    pub fn try_scan_window(&self, from: K, hi: K, max_keys: usize) -> Option<(Vec<(K, V)>, bool)> {
+        crate::scan::try_window_bstlike(&self.domain, self.root, from, hi, max_keys)
     }
 
     /// Collect `(key, value)` pairs in ascending key order (traversal

@@ -3,6 +3,7 @@
 //! domain machinery interoperate; reclamation stays balanced across a
 //! whole-workspace workload.
 
+use conc_set::ConcurrentOrderedSet;
 use lockbased::{CoarseMultiset, HandOverHandMultiset};
 use multiset::Multiset;
 use mwcas::KcasMultiset;

@@ -333,8 +333,9 @@ fn seam_straddling_windowed_rounds_are_per_window_linearizable() {
 /// replayable core.
 #[test]
 fn corrupted_long_round_shrinks_to_a_tiny_repro() {
-    let factory = &conc_set::all_factories()[0];
-    let set = factory();
+    let set = conc_set::all_factories()
+        .next()
+        .expect("a registered structure")();
     let h = record_round(&*set, 4, 300, 41, gen_long_op, run_op);
     assert!(h.len() >= 1000, "need a 1k+-event round for this test");
     let mut events = h.events().to_vec();

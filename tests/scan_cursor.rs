@@ -14,11 +14,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use conc_set::{ConcurrentOrderedSet, ScanOpts, ScanStep};
 
-/// Drive a windowed cursor to completion, asserting tiling and
-/// returning the emitted pairs.
-fn drive(set: &dyn ConcurrentOrderedSet, lo: u64, hi: u64, window: u64) -> Vec<(u64, u64)> {
+/// Drive a cursor to completion, asserting tiling and returning the
+/// emitted pairs.
+fn drive(set: &dyn ConcurrentOrderedSet, lo: u64, hi: u64, opts: ScanOpts) -> Vec<(u64, u64)> {
     let name = set.name();
-    let mut cursor = set.scan(lo, hi, ScanOpts::windowed(window));
+    let window = opts.window.unwrap_or(u64::MAX);
+    let mut cursor = set.scan(lo, hi, opts);
     let mut out = Vec::new();
     let mut expected_from = lo;
     loop {
@@ -60,10 +61,18 @@ fn window_one_and_window_beyond_range_agree_with_atomic() {
         let mut atomic = Vec::new();
         set.fold_range(0, 100, &mut |k, c| atomic.push((k, c)));
         // window = 1: one key per window, maximal boundary count.
-        assert_eq!(drive(&*set, 0, 100, 1), atomic, "{name}: window 1");
+        assert_eq!(
+            drive(&*set, 0, 100, ScanOpts::windowed(1)),
+            atomic,
+            "{name}: window 1"
+        );
         // window larger than the whole range: exactly one window, i.e.
         // the atomic scan expressed through the windowed API.
-        assert_eq!(drive(&*set, 0, 100, 1000), atomic, "{name}: window > range");
+        assert_eq!(
+            drive(&*set, 0, 100, ScanOpts::windowed(1000)),
+            atomic,
+            "{name}: window > range"
+        );
         let mut cursor = set.scan(0, 100, ScanOpts::windowed(1000));
         assert!(matches!(
             cursor.next_window(&mut |_, _| ()),
@@ -80,12 +89,46 @@ fn empty_and_inverted_ranges_through_the_cursor() {
         let set = spec.build();
         let name = set.name();
         // Empty structure: a single empty window certifies the range.
-        assert_eq!(drive(&*set, 0, 50, 4), vec![], "{name}: empty structure");
+        assert_eq!(
+            drive(&*set, 0, 50, ScanOpts::windowed(4)),
+            vec![],
+            "{name}: empty structure"
+        );
         // Inverted bounds: immediately done, no window at all.
         let mut cursor = set.scan(9, 3, ScanOpts::windowed(4));
         assert_eq!(cursor.position(), None, "{name}");
         assert_eq!(cursor.next_window(&mut |_, _| ()), ScanStep::Done, "{name}");
         assert_eq!(cursor.windows(), 0, "{name}");
+    }
+}
+
+/// The top of the key domain: windows ending at `MAX_KEY` resume the
+/// cursor just below the `u64::MAX` bound, where `covered_hi + 1` must
+/// neither overflow nor skip the trailing certification.
+#[test]
+fn scans_reach_the_top_of_the_key_domain() {
+    let top = conc_set::MAX_KEY;
+    for spec in conc_set::selected_specs() {
+        let set = spec.build();
+        let name = set.name();
+        set.insert(top - 1, 1);
+        set.insert(top, 1);
+        for (lo, want) in [(0, vec![(top - 1, 1), (top, 1)]), (top, vec![(top, 1)])] {
+            let mut atomic = Vec::new();
+            set.fold_range(lo, u64::MAX, &mut |k, c| atomic.push((k, c)));
+            assert_eq!(atomic, want, "{name}: fold_range from {lo}");
+            for opts in [
+                ScanOpts::windowed(1),
+                ScanOpts::windowed(2),
+                ScanOpts::atomic(),
+            ] {
+                assert_eq!(
+                    drive(&*set, lo, u64::MAX, opts),
+                    atomic,
+                    "{name}: [{lo}, u64::MAX] at {opts:?}"
+                );
+            }
+        }
     }
 }
 
