@@ -67,9 +67,10 @@
 //! [`Domain::scx`]:
 //!
 //! 1. **No ABA on mutable fields**: an SCX must not store a value that
-//!    the target field held before the linked LLX. Storing pointers to
-//!    freshly allocated records (as all data structures in this
-//!    repository do) satisfies this for free.
+//!    the target field held before the linked LLX. [`Tx`] is the checked
+//!    path: it stores only a [`Fresh`] record of the same attempt. Direct
+//!    [`Domain::scx`] callers keep it by hand; debug builds panic when an
+//!    update CAS wins twice, the symptom of breaking it.
 //! 2. **Consistent freezing order**: once the structure stops changing,
 //!    the `V` sequences of subsequent SCXs must be consistent with a
 //!    total order on records (e.g. traversal order in a list or tree).
@@ -100,7 +101,7 @@ pub use ops::Domain;
 pub use record::DataRecord;
 pub use scx_record::live_scx_records;
 pub use stats::StatsSnapshot;
-pub use tx::{Commit, Tx};
+pub use tx::{Fresh, Tx};
 
 /// Re-export of [`crossbeam_epoch::Guard`]; all traversals and operations
 /// happen under a pinned guard.

@@ -232,7 +232,9 @@ impl<const M: usize, I> Domain<M, I> {
     ///    `SCX(.., fld, new)` with the same `fld` and `new` may have been
     ///    linearized before the linked LLX of `fld`'s record (no ABA on
     ///    mutable fields). Storing pointers to freshly allocated records
-    ///    always satisfies this.
+    ///    always satisfies this; [`Tx`](crate::Tx) is the checked path
+    ///    that stores nothing else. Debug builds panic if a broken
+    ///    constraint lets an update CAS win twice.
     /// 2. Once the structure is quiescent, all `V` sequences passed to
     ///    subsequent SCXs must be consistent with one total order on
     ///    records (pass `V` in traversal order).
@@ -279,6 +281,8 @@ impl<const M: usize, I> Domain<M, I> {
             info_fields,
             #[cfg(debug_assertions)]
             info_gens: crate::inline_vec::InlineVec::from_iter(req.v.iter().map(|h| h.info_gen)),
+            #[cfg(debug_assertions)]
+            update_wins: crate::sync::AtomicU8::new(0),
         });
         // SAFETY: freshly allocated, uniquely reachable through `u`.
         let u_ref = unsafe { &*u };
@@ -384,11 +388,18 @@ impl<const M: usize, I> Domain<M, I> {
         }
 
         // update CAS (line 39): only the first one by any helper succeeds
-        // (Lemma 54); failures by other helpers are benign.
+        // (Lemma 54) unless §4.1 is broken, which debug builds catch.
         bump!(self, update_cas);
         // SAFETY: `fld` points into a record in V, protected as above.
-        let _ =
+        let won =
             unsafe { (*u.fld).compare_exchange(u.old, u.new, Ordering::SeqCst, Ordering::SeqCst) }; // ord: field-update CAS; SC per paper Fig. 4
+        #[cfg(debug_assertions)]
+        if won.is_ok() && u.update_wins.fetch_add(1, Ordering::Relaxed) > 0 {
+            // ord: debug win count; RMW atomicity makes one of two winners see the other
+            let (fld, old, new) = (u.fld, u.old, u.new);
+            panic!("update CAS won twice (no-ABA broken): fld={fld:p} old={old:#x} new={new:#x}");
+        }
+        let _ = won;
 
         // commit step (line 41): finalize all r in R, unfreeze the rest.
         bump!(self, state_writes);

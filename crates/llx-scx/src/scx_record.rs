@@ -41,6 +41,9 @@ pub(crate) struct ScxRecord<const M: usize, I> {
     /// still carries it (no recycled-address ABA).
     #[cfg(debug_assertions)]
     pub(crate) info_gens: InlineVec<u64, 8>,
+    /// Debug builds: update CASes won for this SCX (Lemma 54: one).
+    #[cfg(debug_assertions)]
+    pub(crate) update_wins: crate::sync::AtomicU8,
 }
 
 /// Net count of live (allocated, not yet destroyed) SCX-records across
@@ -136,6 +139,8 @@ mod tests {
             info_fields: InlineVec::new(),
             #[cfg(debug_assertions)]
             info_gens: InlineVec::new(),
+            #[cfg(debug_assertions)]
+            update_wins: crate::sync::AtomicU8::new(0),
         };
         assert!(rec.finalizes(0));
         assert!(!rec.finalizes(1));

@@ -2,7 +2,7 @@
 //! exactly once (the substrate substituting the paper's GC assumption).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use llx_scx::{Domain, FieldId, ScxRequest};
 
@@ -25,6 +25,16 @@ fn drain_epochs() {
     }
 }
 
+/// Serialises the tests of this binary, which the harness runs in
+/// parallel: a peer's pinned guard stalls another test's drain, and a
+/// peer's records in flight show up in the process-global SCX-record
+/// ledger as another test's leak.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A clean live-record baseline: drain residue from earlier tests (each
 /// test runs on its own thread, so a finished test's partial retirement
 /// batch is parked on the orphan list until adopted) before sampling.
@@ -35,6 +45,7 @@ fn baseline() -> Option<isize> {
 
 #[test]
 fn every_data_record_dropped_exactly_once() {
+    let _serial = serial();
     let drops = Arc::new(AtomicUsize::new(0));
     let domain: Domain<1, DropCounter> = Domain::new();
     const N: usize = 100;
@@ -53,6 +64,7 @@ fn every_data_record_dropped_exactly_once() {
 
 #[test]
 fn scx_records_do_not_leak_single_threaded() {
+    let _serial = serial();
     let baseline = baseline();
     {
         let domain: Domain<1, u64> = Domain::new();
@@ -78,6 +90,7 @@ fn scx_records_do_not_leak_single_threaded() {
 fn scx_records_do_not_leak_multi_threaded() {
     // Run a contended workload (helping, aborts, finalization), then
     // check the live SCX-record count returns to its baseline.
+    let _serial = serial();
     let baseline = baseline();
     let drops = Arc::new(AtomicUsize::new(0));
     let allocs = Arc::new(AtomicUsize::new(0));

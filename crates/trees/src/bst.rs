@@ -6,16 +6,26 @@
 //!
 //! * `Insert(k)` replaces leaf `l` with a new internal node holding the
 //!   new leaf and a fresh copy of `l` — `SCX(V=⟨p, l⟩, R=⟨l⟩, p.child, new)`.
-//! * `Delete(k)` unlinks leaf `l` and its parent `p`, promoting the
-//!   sibling — `SCX(V=⟨gp, p, l⟩, R=⟨p, l⟩, gp.child, s)`. No copy of the
-//!   sibling is needed: a node is only ever stored into a child field it
-//!   has never inhabited, so the paper's no-ABA constraint (§4.1) holds.
+//! * `Delete(k)` unlinks leaf `l` and its parent `p` and puts a copy of
+//!   the sibling `s` in their place —
+//!   `SCX(V=⟨gp, p, l, s⟩, R=⟨p, l, s⟩, gp.child, copy of s)`.
+//!
+//! Both run through [`llx_scx::Tx`], whose `commit` stores only a node
+//! that the same attempt allocated. So every SCX's `new` is fresh, no
+//! child field ever receives a value it held before, and the paper's
+//! no-ABA constraint (§4.1) holds by construction. Removal pays one
+//! copy for it: promoting the sibling itself is legal here (a node only
+//! moves up), but the Patricia trie's removal would move a node back
+//! into a field its splice took it out of.
 
 use std::fmt;
 
-use llx_scx::{FieldId, Guard, ScxRequest};
+use llx_scx::{Guard, Tx};
 
-use crate::node::{dir_of, is_leaf, Node, NodeInfo, TreeDomain, TreeKey, LEFT, RIGHT};
+use crate::node::{
+    copy, dir_of, internal, is_leaf, leaf, llx_pair, Node, NodeInfo, TreeDomain, TreeKey, LEFT,
+    RIGHT,
+};
 
 /// The result of the leaf search: the leaf and up to two ancestors.
 pub(crate) struct SearchResult<'g, K, V> {
@@ -92,6 +102,82 @@ pub(crate) fn search_leaf<'g, K: Copy + Ord, V>(
     SearchResult { gp, p, l }
 }
 
+/// Whether a node of weight `weight` stored under `parent` creates a
+/// chromatic violation (overweight, or red under red).
+fn violation<K, V>(weight: u32, parent: &Node<K, V>) -> bool {
+    weight >= 2 || (weight == 0 && parent.immutable().weight == 0)
+}
+
+/// One insert attempt for the absent key `k` at the leaf `res.l`:
+/// replace `l` by an internal node over a new leaf and a copy of `l`,
+/// `SCX(V=⟨p, l⟩, R=⟨l⟩)`. The internal node weighs `weight(p is the
+/// entry point, w(l))`. `None` means retry; `Some(v)` means committed,
+/// with `v` whether it created a violation.
+pub(crate) fn insert_at<'g, K: Copy + Ord, V: Clone>(
+    domain: &TreeDomain<K, V>,
+    root: *const Node<K, V>,
+    res: &SearchResult<'g, K, V>,
+    k: TreeKey<K>,
+    value: &V,
+    weight: impl Fn(bool, u32) -> u32,
+    guard: &'g Guard,
+) -> Option<bool> {
+    let tx = Tx::new(domain, guard);
+    let sp = tx.llx(res.p)?;
+    tx.llx(res.l)?;
+    // The leaf must still be p's child on the search side.
+    let d = dir_of(&k, res.p);
+    if sp.value(d) != llx_scx::pack_ptr(res.l as *const Node<K, V>) {
+        return None;
+    }
+    let l_info = res.l.immutable();
+    let w = weight(std::ptr::eq(res.p, root), l_info.weight);
+    let new_leaf = leaf(&tx, k, Some(value.clone()));
+    let l_copy = leaf(&tx, l_info.key, l_info.value.clone());
+    let n = if k < l_info.key {
+        internal(&tx, l_info.key, w, [new_leaf.word(), l_copy.word()])
+    } else {
+        internal(&tx, k, w, [l_copy.word(), new_leaf.word()])
+    };
+    // SAFETY: R = ⟨l⟩, which `n` replaces.
+    unsafe { tx.commit(d, n, None) }.then(|| violation(w, res.p))
+}
+
+/// One remove attempt of the leaf `res.l` holding `k`: replace its
+/// parent `p` by a copy of the sibling `s`, `SCX(V=⟨gp, p, l, s⟩,
+/// R=⟨p, l, s⟩)` with `l` and `s` in left-to-right order. The copy
+/// weighs `weight(gp is the entry point, w(p), w(s))`. Returns as
+/// [`insert_at`] does.
+pub(crate) fn remove_at<'g, K: Copy + Ord, V: Clone>(
+    domain: &TreeDomain<K, V>,
+    root: *const Node<K, V>,
+    res: &SearchResult<'g, K, V>,
+    k: &TreeKey<K>,
+    weight: impl Fn(bool, u32, u32) -> u32,
+    guard: &'g Guard,
+) -> Option<bool> {
+    // User keys always have a grandparent (sentinel layout).
+    let gp = res.gp.expect("user-key leaf always has a grandparent");
+    let tx = Tx::new(domain, guard);
+    let sgp = tx.llx(gp)?;
+    let sp = tx.llx(res.p)?;
+    let gd = dir_of(k, gp);
+    let pd = dir_of(k, res.p);
+    if sgp.value(gd) != llx_scx::pack_ptr(res.p as *const Node<K, V>)
+        || sp.value(pd) != llx_scx::pack_ptr(res.l as *const Node<K, V>)
+    {
+        return None;
+    }
+    // SAFETY: a child of a snapshotted node, protected by `guard`.
+    let s: &Node<K, V> = unsafe { domain.deref(sp.value(1 - pd), guard) };
+    let (_, ss) = llx_pair(&tx, res.l, pd, s)?;
+    let at_entry = std::ptr::eq(gp, root);
+    let w = weight(at_entry, res.p.immutable().weight, s.immutable().weight);
+    let n = copy(&tx, &ss, w);
+    // SAFETY: R = ⟨p, l, s⟩, which `n` replaces.
+    unsafe { tx.commit(gd, n, None) }.then(|| violation(w, gp))
+}
+
 impl<K: Copy + Ord, V: Clone> Bst<K, V> {
     /// An empty tree: `root(∞₂) → {leaf(∞₁), leaf(∞₂)}`.
     pub fn new() -> Self {
@@ -125,65 +211,11 @@ impl<K: Copy + Ord, V: Clone> Bst<K, V> {
         loop {
             let guard = llx_scx::pin();
             let res = search_leaf(&self.domain, self.root, &k, &guard);
-            let l_info = res.l.immutable();
-            if l_info.key == k {
+            if res.l.immutable().key == k {
                 return false;
             }
-            let (Some(sp), Some(sl)) = (
-                self.domain.llx(res.p, &guard).snapshot(),
-                self.domain.llx(res.l, &guard).snapshot(),
-            ) else {
-                continue;
-            };
-            // The leaf must still be p's child on the search side.
-            let d = dir_of(&k, res.p);
-            if sp.value(d) != llx_scx::pack_ptr(res.l as *const Node<K, V>) {
-                continue;
-            }
-            // Build: internal(max-ish key){leaf(k), copy of l} ordered.
-            let new_leaf = self.domain.alloc(
-                NodeInfo {
-                    key: k,
-                    weight: 1,
-                    value: Some(value.clone()),
-                },
-                [llx_scx::NULL, llx_scx::NULL],
-            );
-            let l_copy = self.domain.alloc(
-                NodeInfo {
-                    key: l_info.key,
-                    weight: 1,
-                    value: l_info.value.clone(),
-                },
-                [llx_scx::NULL, llx_scx::NULL],
-            );
-            let (lc, rc, ikey) = if k < l_info.key {
-                (new_leaf, l_copy, l_info.key)
-            } else {
-                (l_copy, new_leaf, k)
-            };
-            let internal = self.domain.alloc(
-                NodeInfo {
-                    key: ikey,
-                    weight: 1,
-                    value: None,
-                },
-                [llx_scx::pack_ptr(lc), llx_scx::pack_ptr(rc)],
-            );
-            if self.domain.scx(
-                ScxRequest::new(&[sp, sl], FieldId::new(0, d), llx_scx::pack_ptr(internal))
-                    .finalize(1),
-                &guard,
-            ) {
-                // SAFETY: l was unlinked by the committed SCX.
-                unsafe { self.domain.retire(res.l as *const Node<K, V>, &guard) };
+            if insert_at(&self.domain, self.root, &res, k, &value, |_, _| 1, &guard).is_some() {
                 return true;
-            }
-            // SAFETY: never published.
-            unsafe {
-                self.domain.dealloc(internal);
-                self.domain.dealloc(new_leaf);
-                self.domain.dealloc(l_copy);
             }
         }
     }
@@ -197,40 +229,9 @@ impl<K: Copy + Ord, V: Clone> Bst<K, V> {
             if res.l.immutable().key != k {
                 return None;
             }
-            let Some(gp) = res.gp else {
-                // User keys always have a grandparent (sentinel layout).
-                unreachable!("user-key leaf at depth 1");
-            };
-            let (Some(sgp), Some(sp), Some(sl)) = (
-                self.domain.llx(gp, &guard).snapshot(),
-                self.domain.llx(res.p, &guard).snapshot(),
-                self.domain.llx(res.l, &guard).snapshot(),
-            ) else {
-                continue;
-            };
-            // Validate links from the snapshots.
-            let gd = dir_of(&k, gp);
-            let pd = dir_of(&k, res.p);
-            if sgp.value(gd) != llx_scx::pack_ptr(res.p as *const Node<K, V>)
-                || sp.value(pd) != llx_scx::pack_ptr(res.l as *const Node<K, V>)
-            {
-                continue;
-            }
-            // Promote the sibling.
-            let sibling_word = sp.value(1 - pd);
-            let value = res.l.immutable().value.clone();
-            if self.domain.scx(
-                ScxRequest::new(&[sgp, sp, sl], FieldId::new(0, gd), sibling_word)
-                    .finalize(1)
-                    .finalize(2),
-                &guard,
-            ) {
-                // SAFETY: both unlinked by the committed SCX.
-                unsafe {
-                    self.domain.retire(res.p as *const Node<K, V>, &guard);
-                    self.domain.retire(res.l as *const Node<K, V>, &guard);
-                }
-                return value;
+            // The sibling's copy keeps its weight.
+            if remove_at(&self.domain, self.root, &res, &k, |_, _, ws| ws, &guard).is_some() {
+                return res.l.immutable().value.clone();
             }
         }
     }

@@ -40,12 +40,12 @@
 
 use std::fmt;
 
-use llx_scx::{FieldId, Guard, Llx, ScxRequest};
+use llx_scx::{Guard, Tx};
 
-use crate::bst::{new_root, search_leaf};
-use crate::node::{dir_of, is_leaf, Node, NodeInfo, TreeDomain, TreeKey, LEFT, RIGHT};
-
-type Snap<'g, K, V> = Llx<'g, 2, NodeInfo<K, V>>;
+use crate::bst::{insert_at, new_root, remove_at, search_leaf};
+use crate::node::{
+    copy, dir_of, internal, is_leaf, llx_pair, sides, Node, Snap, TreeDomain, TreeKey, LEFT, RIGHT,
+};
 
 /// A linearizable, non-blocking balanced dictionary: the chromatic tree
 /// of the paper's §6 follow-up.
@@ -93,44 +93,6 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
         self.get(key).is_some()
     }
 
-    fn alloc_leaf(&self, key: TreeKey<K>, weight: u32, value: Option<V>) -> *const Node<K, V> {
-        self.domain.alloc(
-            NodeInfo { key, weight, value },
-            [llx_scx::NULL, llx_scx::NULL],
-        )
-    }
-
-    fn alloc_internal(
-        &self,
-        key: TreeKey<K>,
-        weight: u32,
-        left: u64,
-        right: u64,
-    ) -> *const Node<K, V> {
-        debug_assert!(left != llx_scx::NULL && right != llx_scx::NULL);
-        self.domain.alloc(
-            NodeInfo {
-                key,
-                weight,
-                value: None,
-            },
-            [left, right],
-        )
-    }
-
-    /// A copy of `n` (children from its snapshot) with a new weight.
-    fn copy_with_weight(&self, s: &Snap<'_, K, V>, weight: u32) -> *const Node<K, V> {
-        let info = s.record().immutable();
-        self.domain.alloc(
-            NodeInfo {
-                key: info.key,
-                weight,
-                value: info.value.clone(),
-            },
-            [s.value(LEFT), s.value(RIGHT)],
-        )
-    }
-
     /// Insert `key -> value` if absent; returns whether it inserted.
     ///
     /// Replaces the reached leaf `l` (weight `wl`) by an internal node of
@@ -139,55 +101,20 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
     /// path sums are preserved exactly. Cleans up any created violation.
     pub fn insert(&self, key: K, value: V) -> bool {
         let k = TreeKey::Key(key);
+        let weight = |at_entry, wl: u32| if at_entry { 1 } else { wl.saturating_sub(1) };
         loop {
             let guard = llx_scx::pin();
             let res = search_leaf(&self.domain, self.root, &k, &guard);
-            let l_info = res.l.immutable();
-            if l_info.key == k {
+            if res.l.immutable().key == k {
                 return false;
             }
-            let (Some(sp), Some(sl)) = (
-                self.domain.llx(res.p, &guard).snapshot(),
-                self.domain.llx(res.l, &guard).snapshot(),
-            ) else {
-                continue;
-            };
-            let d = dir_of(&k, res.p);
-            if sp.value(d) != llx_scx::pack_ptr(res.l as *const Node<K, V>) {
-                continue;
+            let attempt = insert_at(&self.domain, self.root, &res, k, &value, weight, &guard);
+            let Some(violation) = attempt else { continue };
+            drop(guard);
+            if violation {
+                self.cleanup(&k);
             }
-            let wl = l_info.weight;
-            let at_entry = std::ptr::eq(res.p, self.root as *const Node<K, V>);
-            let weight = if at_entry { 1 } else { wl.saturating_sub(1) };
-            let new_leaf = self.alloc_leaf(k, 1, Some(value.clone()));
-            let l_copy = self.alloc_leaf(l_info.key, 1, l_info.value.clone());
-            let (lc, rc, ikey) = if k < l_info.key {
-                (new_leaf, l_copy, l_info.key)
-            } else {
-                (l_copy, new_leaf, k)
-            };
-            let internal =
-                self.alloc_internal(ikey, weight, llx_scx::pack_ptr(lc), llx_scx::pack_ptr(rc));
-            let p_red = res.p.immutable().weight == 0;
-            if self.domain.scx(
-                ScxRequest::new(&[sp, sl], FieldId::new(0, d), llx_scx::pack_ptr(internal))
-                    .finalize(1),
-                &guard,
-            ) {
-                // SAFETY: l unlinked by the committed SCX.
-                unsafe { self.domain.retire(res.l as *const Node<K, V>, &guard) };
-                drop(guard);
-                if (weight == 0 && p_red) || weight >= 2 {
-                    self.cleanup(&k);
-                }
-                return true;
-            }
-            // SAFETY: never published.
-            unsafe {
-                self.domain.dealloc(internal);
-                self.domain.dealloc(new_leaf);
-                self.domain.dealloc(l_copy);
-            }
+            return true;
         }
     }
 
@@ -199,65 +126,21 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
     /// Cleans up any created violation.
     pub fn remove(&self, key: K) -> Option<V> {
         let k = TreeKey::Key(key);
+        let weight = |at_entry, wp, ws| if at_entry { 1 } else { wp + ws };
         loop {
             let guard = llx_scx::pin();
             let res = search_leaf(&self.domain, self.root, &k, &guard);
             if res.l.immutable().key != k {
                 return None;
             }
-            let gp = res.gp.expect("user-key leaf always has a grandparent");
-            let (Some(sgp), Some(sp), Some(sl)) = (
-                self.domain.llx(gp, &guard).snapshot(),
-                self.domain.llx(res.p, &guard).snapshot(),
-                self.domain.llx(res.l, &guard).snapshot(),
-            ) else {
-                continue;
-            };
-            let gd = dir_of(&k, gp);
-            let pd = dir_of(&k, res.p);
-            if sgp.value(gd) != llx_scx::pack_ptr(res.p as *const Node<K, V>)
-                || sp.value(pd) != llx_scx::pack_ptr(res.l as *const Node<K, V>)
-            {
-                continue;
-            }
-            let s: &Node<K, V> = unsafe { self.domain.deref(sp.value(1 - pd), &guard) };
-            let Some(ss) = self.domain.llx(s, &guard).snapshot() else {
-                continue;
-            };
-            let at_entry = std::ptr::eq(gp, self.root as *const Node<K, V>);
-            let wp = res.p.immutable().weight;
-            let ws = s.immutable().weight;
-            let weight = if at_entry { 1 } else { wp + ws };
-            let replacement = self.copy_with_weight(&ss, weight);
-            // V in traversal order: gp, p, then p's children left-right.
-            let (v, fin_a, fin_b) = if pd == LEFT {
-                ([sgp, sp, sl, ss], 2, 3) // l left, s right
-            } else {
-                ([sgp, sp, ss, sl], 2, 3) // s left, l right
-            };
+            let attempt = remove_at(&self.domain, self.root, &res, &k, weight, &guard);
+            let Some(violation) = attempt else { continue };
             let value = res.l.immutable().value.clone();
-            if self.domain.scx(
-                ScxRequest::new(&v, FieldId::new(0, gd), llx_scx::pack_ptr(replacement))
-                    .finalize(1)
-                    .finalize(fin_a)
-                    .finalize(fin_b),
-                &guard,
-            ) {
-                // SAFETY: all three unlinked by the committed SCX.
-                unsafe {
-                    self.domain.retire(res.p as *const Node<K, V>, &guard);
-                    self.domain.retire(res.l as *const Node<K, V>, &guard);
-                    self.domain.retire(s as *const Node<K, V>, &guard);
-                }
-                let needs_cleanup = weight >= 2 || (weight == 0 && gp.immutable().weight == 0);
-                drop(guard);
-                if needs_cleanup {
-                    self.cleanup(&k);
-                }
-                return value;
+            drop(guard);
+            if violation {
+                self.cleanup(&k);
             }
-            // SAFETY: never published.
-            unsafe { self.domain.dealloc(replacement) };
+            return value;
         }
     }
 
@@ -303,7 +186,7 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
                             self.fix_red_red(n0, gp, n2, n3, &guard)
                         }
                     };
-                    let _ = fixed; // success or failure: re-walk
+                    let _ = fixed; // committed or stale: re-walk
                     continue 'walk;
                 }
                 if is_leaf(n3) {
@@ -319,28 +202,19 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
 
     /// Replace the entry point's child by a copy with weight 1 (fixes a
     /// violation at the top by shifting all real path sums uniformly).
-    fn recolor_entry_child(&self, u: &Node<K, V>, guard: &Guard) -> bool {
+    /// `None` means the attempt found stale state or its SCX failed.
+    fn recolor_entry_child<'g>(&self, u: &'g Node<K, V>, guard: &'g Guard) -> Option<()> {
+        // SAFETY: the entry point is never retired.
         let root: &Node<K, V> = unsafe { &*self.root };
-        let (Some(sr), Some(su)) = (
-            self.domain.llx(root, guard).snapshot(),
-            self.domain.llx(u, guard).snapshot(),
-        ) else {
-            return false;
-        };
+        let tx = Tx::new(&self.domain, guard);
+        let sr = tx.llx(root)?;
+        let su = tx.llx(u)?;
         if sr.value(LEFT) != llx_scx::pack_ptr(u as *const Node<K, V>) {
-            return false;
+            return None;
         }
-        let copy = self.copy_with_weight(&su, 1);
-        if self.domain.scx(
-            ScxRequest::new(&[sr, su], FieldId::new(0, LEFT), llx_scx::pack_ptr(copy)).finalize(1),
-            guard,
-        ) {
-            unsafe { self.domain.retire(u as *const Node<K, V>, guard) };
-            true
-        } else {
-            unsafe { self.domain.dealloc(copy) };
-            false
-        }
+        let n = copy(&tx, &su, 1);
+        // SAFETY: R = ⟨u⟩, which `n` replaces.
+        unsafe { tx.commit(LEFT, n, None) }.then_some(())
     }
 
     /// Which child slot of `parent` (per its snapshot) holds `child`?
@@ -359,180 +233,61 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
     /// `gp` is black, `holder` is `gp`'s parent (pointer owner).
     ///
     /// Chooses `BLK` (red uncle), `RB1` (black uncle, `u` outside) or
-    /// `RB2` (black uncle, `u` inside). Returns whether an SCX
-    /// committed; on any staleness it returns false and the caller
-    /// re-walks.
-    fn fix_red_red(
+    /// `RB2` (black uncle, `u` inside). Every case replaces `gp`, `p`
+    /// (and the uncle or `u`) by fresh nodes: `V` is `holder`, `gp`,
+    /// then the replaced nodes top-down and left to right, and `R` is
+    /// all of `V` but `holder`. Returns as `recolor_entry_child`.
+    fn fix_red_red<'g>(
         &self,
-        holder: Option<&Node<K, V>>,
-        gp: &Node<K, V>,
-        p: &Node<K, V>,
-        u: &Node<K, V>,
-        guard: &Guard,
-    ) -> bool {
-        let Some(holder) = holder else {
-            return false; // stale: gp should always have a parent here
+        holder: Option<&'g Node<K, V>>,
+        gp: &'g Node<K, V>,
+        p: &'g Node<K, V>,
+        u: &'g Node<K, V>,
+        guard: &'g Guard,
+    ) -> Option<()> {
+        let holder = holder?; // stale: gp always has a parent here
+        let tx = Tx::new(&self.domain, guard);
+        let sh = tx.llx(holder)?;
+        let sgp = tx.llx(gp)?;
+        let pd = Self::side_of(&sgp, p)?;
+        // SAFETY: children of a snapshotted node, protected by `guard`.
+        let uncle: &Node<K, V> = unsafe { self.domain.deref(sgp.value(1 - pd), guard) };
+        let (sp, sun) = if uncle.immutable().weight == 0 {
+            let (sp, sun) = llx_pair(&tx, p, pd, uncle)?;
+            (sp, Some(sun))
+        } else {
+            (tx.llx(p)?, None)
         };
-        let (Some(sh), Some(sgp), Some(sp)) = (
-            self.domain.llx(holder, guard).snapshot(),
-            self.domain.llx(gp, guard).snapshot(),
-            self.domain.llx(p, guard).snapshot(),
-        ) else {
-            return false;
-        };
-        let Some(hd) = Self::side_of(&sh, gp) else {
-            return false;
-        };
-        let Some(pd) = Self::side_of(&sgp, p) else {
-            return false;
-        };
-        let Some(ud) = Self::side_of(&sp, u) else {
-            return false;
-        };
+        let hd = Self::side_of(&sh, gp)?;
+        let ud = Self::side_of(&sp, u)?;
         let wgp = gp.immutable().weight;
         if wgp == 0 || p.immutable().weight != 0 || u.immutable().weight != 0 {
-            return false; // stale weights (nodes replaced since detection)
+            return None; // stale weights (nodes replaced since detection)
         }
-        let uncle: &Node<K, V> = unsafe { self.domain.deref(sgp.value(1 - pd), guard) };
         let at_entry = std::ptr::eq(holder, self.root as *const Node<K, V>);
         let clamp = |w: u32| if at_entry { w.max(1) } else { w };
-
-        if uncle.immutable().weight == 0 {
+        let (uncle_w, c_w) = (sgp.value(1 - pd), sp.value(1 - ud)); // c: p's other child
+        let n = if let Some(sun) = sun {
             // BLK: blacken p and uncle, pull one weight from gp.
-            let Some(sun) = self.domain.llx(uncle, guard).snapshot() else {
-                return false;
-            };
-            let p_copy = self.copy_with_weight(&sp, 1);
-            let un_copy = self.copy_with_weight(&sun, 1);
-            let (lw, rw) = if pd == LEFT {
-                (llx_scx::pack_ptr(p_copy), llx_scx::pack_ptr(un_copy))
-            } else {
-                (llx_scx::pack_ptr(un_copy), llx_scx::pack_ptr(p_copy))
-            };
-            let n = self.alloc_internal(gp.immutable().key, clamp(wgp - 1), lw, rw);
-            // V in traversal order: holder, gp, then gp's children
-            // left-to-right.
-            let v = if pd == LEFT {
-                [sh, sgp, sp, sun]
-            } else {
-                [sh, sgp, sun, sp]
-            };
-            if self.domain.scx(
-                ScxRequest::new(&v, FieldId::new(0, hd), llx_scx::pack_ptr(n))
-                    .finalize(1)
-                    .finalize(2)
-                    .finalize(3),
-                guard,
-            ) {
-                unsafe {
-                    self.domain.retire(gp as *const Node<K, V>, guard);
-                    self.domain.retire(p as *const Node<K, V>, guard);
-                    self.domain.retire(uncle as *const Node<K, V>, guard);
-                }
-                true
-            } else {
-                unsafe {
-                    self.domain.dealloc(n);
-                    self.domain.dealloc(p_copy);
-                    self.domain.dealloc(un_copy);
-                }
-                false
-            }
+            let p_copy = copy(&tx, &sp, 1);
+            let un_copy = copy(&tx, &sun, 1);
+            let children = sides(pd, p_copy.word(), un_copy.word());
+            internal(&tx, gp.immutable().key, clamp(wgp - 1), children)
         } else if pd == ud {
-            // RB1: single rotation. (pd == LEFT shown; mirrored below.)
-            let uncle_w = sgp.value(1 - pd);
-            let c_w = sp.value(1 - ud); // p's other child
-            let n = if pd == LEFT {
-                let n2 = self.alloc_internal(gp.immutable().key, 0, c_w, uncle_w);
-                self.alloc_internal(
-                    p.immutable().key,
-                    clamp(wgp),
-                    sp.value(ud),
-                    llx_scx::pack_ptr(n2),
-                )
-            } else {
-                let n2 = self.alloc_internal(gp.immutable().key, 0, uncle_w, c_w);
-                self.alloc_internal(
-                    p.immutable().key,
-                    clamp(wgp),
-                    llx_scx::pack_ptr(n2),
-                    sp.value(ud),
-                )
-            };
-            if self.domain.scx(
-                ScxRequest::new(&[sh, sgp, sp], FieldId::new(0, hd), llx_scx::pack_ptr(n))
-                    .finalize(1)
-                    .finalize(2),
-                guard,
-            ) {
-                unsafe {
-                    self.domain.retire(gp as *const Node<K, V>, guard);
-                    self.domain.retire(p as *const Node<K, V>, guard);
-                }
-                true
-            } else {
-                // n's inner node is fresh too; free both.
-                let inner = if pd == LEFT {
-                    unsafe { (*n).read(RIGHT) }
-                } else {
-                    unsafe { (*n).read(LEFT) }
-                };
-                unsafe {
-                    self.domain.dealloc(n);
-                    self.domain.dealloc(inner as usize as *const Node<K, V>);
-                }
-                false
-            }
+            // RB1: single rotation; gp moves down to p's other side.
+            let g2 = internal(&tx, gp.immutable().key, 0, sides(pd, c_w, uncle_w));
+            let children = sides(pd, sp.value(ud), g2.word());
+            internal(&tx, p.immutable().key, clamp(wgp), children)
         } else {
             // RB2: double rotation; u's children are redistributed.
-            let Some(su) = self.domain.llx(u, guard).snapshot() else {
-                return false;
-            };
-            let uncle_w = sgp.value(1 - pd);
-            let c_w = sp.value(1 - ud); // p's other child (outer)
-            let (n1, n2) = if pd == LEFT {
-                // p left of gp, u right of p.
-                let n1 = self.alloc_internal(p.immutable().key, 0, c_w, su.value(LEFT));
-                let n2 = self.alloc_internal(gp.immutable().key, 0, su.value(RIGHT), uncle_w);
-                (n1, n2)
-            } else {
-                // p right of gp, u left of p.
-                let n1 = self.alloc_internal(gp.immutable().key, 0, uncle_w, su.value(LEFT));
-                let n2 = self.alloc_internal(p.immutable().key, 0, su.value(RIGHT), c_w);
-                (n1, n2)
-            };
-            let n = self.alloc_internal(
-                u.immutable().key,
-                clamp(wgp),
-                llx_scx::pack_ptr(n1),
-                llx_scx::pack_ptr(n2),
-            );
-            if self.domain.scx(
-                ScxRequest::new(
-                    &[sh, sgp, sp, su],
-                    FieldId::new(0, hd),
-                    llx_scx::pack_ptr(n),
-                )
-                .finalize(1)
-                .finalize(2)
-                .finalize(3),
-                guard,
-            ) {
-                unsafe {
-                    self.domain.retire(gp as *const Node<K, V>, guard);
-                    self.domain.retire(p as *const Node<K, V>, guard);
-                    self.domain.retire(u as *const Node<K, V>, guard);
-                }
-                true
-            } else {
-                unsafe {
-                    self.domain.dealloc(n);
-                    self.domain.dealloc(n1);
-                    self.domain.dealloc(n2);
-                }
-                false
-            }
-        }
+            let su = tx.llx(u)?;
+            let p2 = internal(&tx, p.immutable().key, 0, sides(pd, c_w, su.value(pd)));
+            let g2 = internal(&tx, gp.immutable().key, 0, sides(pd, su.value(ud), uncle_w));
+            let children = sides(pd, p2.word(), g2.word());
+            internal(&tx, u.immutable().key, clamp(wgp), children)
+        };
+        // SAFETY: R = V[1..], every record of which `n` replaces.
+        unsafe { tx.commit(hd, n, None) }.then_some(())
     }
 
     /// Fix an overweight violation at `u` (`w(u) >= 2`): `p` is the
@@ -541,336 +296,103 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
     /// sibling).
     ///
     /// Case analysis over the sibling `s` and its children (weighted
-    /// path sums make it exhaustive — see module docs).
-    fn fix_overweight(
+    /// path sums make it exhaustive — see module docs). `V` is `pp`,
+    /// `p`, `p`'s children left to right, then a nephew for W-FAR and
+    /// W-NEAR; `R` is all of `V` but `pp` (and but `u` for W-RED).
+    /// Returns as `recolor_entry_child`.
+    fn fix_overweight<'g>(
         &self,
-        ppp: Option<&Node<K, V>>,
-        pp: &Node<K, V>,
-        p: &Node<K, V>,
-        u: &Node<K, V>,
-        guard: &Guard,
-    ) -> bool {
-        let (Some(spp), Some(sp), Some(su)) = (
-            self.domain.llx(pp, guard).snapshot(),
-            self.domain.llx(p, guard).snapshot(),
-            self.domain.llx(u, guard).snapshot(),
-        ) else {
-            return false;
-        };
-        let Some(ppd) = Self::side_of(&spp, p) else {
-            return false;
-        };
-        let Some(ud) = Self::side_of(&sp, u) else {
-            return false;
-        };
+        ppp: Option<&'g Node<K, V>>,
+        pp: &'g Node<K, V>,
+        p: &'g Node<K, V>,
+        u: &'g Node<K, V>,
+        guard: &'g Guard,
+    ) -> Option<()> {
+        let tx = Tx::new(&self.domain, guard);
+        let spp = tx.llx(pp)?;
+        let sp = tx.llx(p)?;
+        let ppd = Self::side_of(&spp, p)?;
+        let ud = Self::side_of(&sp, u)?;
         let wu = u.immutable().weight;
         let wp = p.immutable().weight;
         if wu < 2 {
-            return false; // stale
+            return None; // stale
         }
+        // SAFETY: children of snapshotted nodes, protected by `guard`.
         let s: &Node<K, V> = unsafe { self.domain.deref(sp.value(1 - ud), guard) };
-        let Some(ss) = self.domain.llx(s, guard).snapshot() else {
-            return false;
-        };
+        let (su, ss) = llx_pair(&tx, u, ud, s)?;
         let ws = s.immutable().weight;
         let at_entry = std::ptr::eq(pp, self.root as *const Node<K, V>);
         let clamp = |w: u32| if at_entry { w.max(1) } else { w };
+        let child = |word| -> &'g Node<K, V> { unsafe { self.domain.deref(word, guard) } };
+        // Nephews: near on u's side of s, far on the other.
+        let (near_w, far_w) = (ss.value(ud), ss.value(1 - ud));
 
         if ws == 0 {
             // Sibling red ⇒ internal (leaves always weigh >= 1).
             if is_leaf(s) {
-                return false; // unreachable in a sum-valid tree; stale
+                return None; // unreachable in a sum-valid tree; stale
             }
             if wp == 0 {
                 // Red-red (p, s): fix it first; u (overweight) is the
                 // uncle and is black, so RB1/RB2 applies at s.
                 return self.fix_red_red(ppp, pp, p, s, guard);
             }
-            let a: &Node<K, V> = unsafe { self.domain.deref(ss.value(LEFT), guard) };
-            let b: &Node<K, V> = unsafe { self.domain.deref(ss.value(RIGHT), guard) };
-            if a.immutable().weight == 0 {
-                // Red-red at a (inside s): gp = p, parent = s.
-                return self.fix_red_red(Some(pp), p, s, a, guard);
-            }
-            if b.immutable().weight == 0 {
-                return self.fix_red_red(Some(pp), p, s, b, guard);
+            for nephew in [child(ss.value(LEFT)), child(ss.value(RIGHT))] {
+                if nephew.immutable().weight == 0 {
+                    // Red-red at the nephew: gp = p, parent = s.
+                    return self.fix_red_red(Some(pp), p, s, nephew, guard);
+                }
             }
             // W-RED: rotate so u's sibling becomes black; u's violation
             // persists (one level deeper) and the next walk fixes it.
-            // u left: t = (s.key, wp){ (p.key, 0){u, a}, b }.
-            let n_inner = if ud == LEFT {
-                self.alloc_internal(p.immutable().key, 0, sp.value(ud), ss.value(LEFT))
-            } else {
-                self.alloc_internal(p.immutable().key, 0, ss.value(RIGHT), sp.value(ud))
-            };
-            let t = if ud == LEFT {
-                self.alloc_internal(
-                    s.immutable().key,
-                    clamp(wp),
-                    llx_scx::pack_ptr(n_inner),
-                    ss.value(RIGHT),
-                )
-            } else {
-                self.alloc_internal(
-                    s.immutable().key,
-                    clamp(wp),
-                    ss.value(LEFT),
-                    llx_scx::pack_ptr(n_inner),
-                )
-            };
-            // V order: pp, p, then p's children left-right.
-            let v = if ud == LEFT {
-                [spp, sp, su, ss]
-            } else {
-                [spp, sp, ss, su]
-            };
-            // u is *not* removed (it is re-linked), so it is not in R;
-            // it still must be in V so its subtree cannot change shape
-            // under us... it is not modified either — it simply moves.
-            // Only p and s are replaced.
-            let s_index = if ud == LEFT { 3 } else { 2 };
-            if self.domain.scx(
-                ScxRequest::new(&v, FieldId::new(0, ppd), llx_scx::pack_ptr(t))
-                    .finalize(1)
-                    .finalize(s_index),
-                guard,
-            ) {
-                unsafe {
-                    self.domain.retire(p as *const Node<K, V>, guard);
-                    self.domain.retire(s as *const Node<K, V>, guard);
-                }
-                true
-            } else {
-                unsafe {
-                    self.domain.dealloc(t);
-                    self.domain.dealloc(n_inner);
-                }
-                false
-            }
-        } else {
-            // Sibling black. Nephew colors decide.
-            let (push, far_red) = if ws >= 2 {
-                (true, false)
-            } else if is_leaf(s) {
-                return false; // unreachable in a sum-valid tree; stale
-            } else {
-                let a: &Node<K, V> = unsafe { self.domain.deref(ss.value(LEFT), guard) };
-                let b: &Node<K, V> = unsafe { self.domain.deref(ss.value(RIGHT), guard) };
-                let (near, far) = if ud == LEFT { (a, b) } else { (b, a) };
-                if far.immutable().weight == 0 {
-                    (false, true)
-                } else if near.immutable().weight == 0 {
-                    (false, false)
-                } else {
-                    (true, false) // both nephews black: PUSH
-                }
-            };
-
-            if push {
-                // PUSH: u - 1, s - 1, p + 1.
-                let u_copy = self.copy_with_weight(&su, wu - 1);
-                let s_copy = self.copy_with_weight(&ss, ws - 1);
-                let (lw, rw) = if ud == LEFT {
-                    (llx_scx::pack_ptr(u_copy), llx_scx::pack_ptr(s_copy))
-                } else {
-                    (llx_scx::pack_ptr(s_copy), llx_scx::pack_ptr(u_copy))
-                };
-                let n = self.alloc_internal(p.immutable().key, clamp(wp + 1), lw, rw);
-                let v = if ud == LEFT {
-                    [spp, sp, su, ss]
-                } else {
-                    [spp, sp, ss, su]
-                };
-                if self.domain.scx(
-                    ScxRequest::new(&v, FieldId::new(0, ppd), llx_scx::pack_ptr(n))
-                        .finalize(1)
-                        .finalize(2)
-                        .finalize(3),
-                    guard,
-                ) {
-                    unsafe {
-                        self.domain.retire(p as *const Node<K, V>, guard);
-                        self.domain.retire(u as *const Node<K, V>, guard);
-                        self.domain.retire(s as *const Node<K, V>, guard);
-                    }
-                    true
-                } else {
-                    unsafe {
-                        self.domain.dealloc(n);
-                        self.domain.dealloc(u_copy);
-                        self.domain.dealloc(s_copy);
-                    }
-                    false
-                }
-            } else if far_red {
-                // W-FAR: single rotation towards u; far nephew gets
-                // weight 1; u loses one. (u left shown; mirrored.)
-                // t = (s.key, wp){ (p.key, 1){u', near}, far' }.
-                let far_word = if ud == LEFT {
-                    ss.value(RIGHT)
-                } else {
-                    ss.value(LEFT)
-                };
-                let near_word = if ud == LEFT {
-                    ss.value(LEFT)
-                } else {
-                    ss.value(RIGHT)
-                };
-                let far: &Node<K, V> = unsafe { self.domain.deref(far_word, guard) };
-                let Some(sfar) = self.domain.llx(far, guard).snapshot() else {
-                    return false;
-                };
-                if far.immutable().weight != 0 {
-                    return false; // stale
-                }
-                let u_copy = self.copy_with_weight(&su, wu - 1);
-                let far_copy = self.copy_with_weight(&sfar, 1);
-                let (n1, t) = if ud == LEFT {
-                    let n1 = self.alloc_internal(
-                        p.immutable().key,
-                        1,
-                        llx_scx::pack_ptr(u_copy),
-                        near_word,
-                    );
-                    let t = self.alloc_internal(
-                        s.immutable().key,
-                        clamp(wp),
-                        llx_scx::pack_ptr(n1),
-                        llx_scx::pack_ptr(far_copy),
-                    );
-                    (n1, t)
-                } else {
-                    let n1 = self.alloc_internal(
-                        p.immutable().key,
-                        1,
-                        near_word,
-                        llx_scx::pack_ptr(u_copy),
-                    );
-                    let t = self.alloc_internal(
-                        s.immutable().key,
-                        clamp(wp),
-                        llx_scx::pack_ptr(far_copy),
-                        llx_scx::pack_ptr(n1),
-                    );
-                    (n1, t)
-                };
-                // V: pp, p, children of p left-right, then far (below s).
-                let v = if ud == LEFT {
-                    [spp, sp, su, ss, sfar]
-                } else {
-                    [spp, sp, ss, su, sfar]
-                };
-                let (ui, si) = if ud == LEFT { (2, 3) } else { (3, 2) };
-                if self.domain.scx(
-                    ScxRequest::new(&v, FieldId::new(0, ppd), llx_scx::pack_ptr(t))
-                        .finalize(1)
-                        .finalize(ui)
-                        .finalize(si)
-                        .finalize(4),
-                    guard,
-                ) {
-                    unsafe {
-                        self.domain.retire(p as *const Node<K, V>, guard);
-                        self.domain.retire(u as *const Node<K, V>, guard);
-                        self.domain.retire(s as *const Node<K, V>, guard);
-                        self.domain.retire(far as *const Node<K, V>, guard);
-                    }
-                    true
-                } else {
-                    unsafe {
-                        self.domain.dealloc(t);
-                        self.domain.dealloc(n1);
-                        self.domain.dealloc(u_copy);
-                        self.domain.dealloc(far_copy);
-                    }
-                    false
-                }
-            } else {
-                // W-NEAR: double rotation through the red near nephew.
-                // (u left shown): t = (near.key, wp){ (p.key, 1){u',
-                // near.left}, (s.key, 1){near.right, far} }.
-                let near_word = if ud == LEFT {
-                    ss.value(LEFT)
-                } else {
-                    ss.value(RIGHT)
-                };
-                let far_word = if ud == LEFT {
-                    ss.value(RIGHT)
-                } else {
-                    ss.value(LEFT)
-                };
-                let near: &Node<K, V> = unsafe { self.domain.deref(near_word, guard) };
-                let Some(snear) = self.domain.llx(near, guard).snapshot() else {
-                    return false;
-                };
-                if near.immutable().weight != 0 {
-                    return false; // stale
-                }
-                let u_copy = self.copy_with_weight(&su, wu - 1);
-                let (n1, n2, t) = if ud == LEFT {
-                    let n1 = self.alloc_internal(
-                        p.immutable().key,
-                        1,
-                        llx_scx::pack_ptr(u_copy),
-                        snear.value(LEFT),
-                    );
-                    let n2 =
-                        self.alloc_internal(s.immutable().key, 1, snear.value(RIGHT), far_word);
-                    let t = self.alloc_internal(
-                        near.immutable().key,
-                        clamp(wp),
-                        llx_scx::pack_ptr(n1),
-                        llx_scx::pack_ptr(n2),
-                    );
-                    (n1, n2, t)
-                } else {
-                    let n1 = self.alloc_internal(s.immutable().key, 1, far_word, snear.value(LEFT));
-                    let n2 = self.alloc_internal(
-                        p.immutable().key,
-                        1,
-                        snear.value(RIGHT),
-                        llx_scx::pack_ptr(u_copy),
-                    );
-                    let t = self.alloc_internal(
-                        near.immutable().key,
-                        clamp(wp),
-                        llx_scx::pack_ptr(n1),
-                        llx_scx::pack_ptr(n2),
-                    );
-                    (n1, n2, t)
-                };
-                let v = if ud == LEFT {
-                    [spp, sp, su, ss, snear]
-                } else {
-                    [spp, sp, ss, su, snear]
-                };
-                let (ui, si) = if ud == LEFT { (2, 3) } else { (3, 2) };
-                if self.domain.scx(
-                    ScxRequest::new(&v, FieldId::new(0, ppd), llx_scx::pack_ptr(t))
-                        .finalize(1)
-                        .finalize(ui)
-                        .finalize(si)
-                        .finalize(4),
-                    guard,
-                ) {
-                    unsafe {
-                        self.domain.retire(p as *const Node<K, V>, guard);
-                        self.domain.retire(u as *const Node<K, V>, guard);
-                        self.domain.retire(s as *const Node<K, V>, guard);
-                        self.domain.retire(near as *const Node<K, V>, guard);
-                    }
-                    true
-                } else {
-                    unsafe {
-                        self.domain.dealloc(t);
-                        self.domain.dealloc(n1);
-                        self.domain.dealloc(n2);
-                        self.domain.dealloc(u_copy);
-                    }
-                    false
-                }
-            }
+            // u left: t = (s.key, wp){ (p.key, 0){u, near}, far }.
+            let inner = internal(&tx, p.immutable().key, 0, sides(ud, sp.value(ud), near_w));
+            let children = sides(ud, inner.word(), far_w);
+            let t = internal(&tx, s.immutable().key, clamp(wp), children);
+            // u moves under `inner` unchanged, so it stays out of R.
+            // SAFETY: R = ⟨p, s⟩, which `t` replaces.
+            return unsafe { tx.commit(ppd, t, Some(u)) }.then_some(());
         }
+        // Sibling black. Nephew colors decide.
+        let push = ws >= 2 || {
+            if is_leaf(s) {
+                return None; // unreachable in a sum-valid tree; stale
+            }
+            child(near_w).immutable().weight != 0 && child(far_w).immutable().weight != 0
+        };
+        let t = if push {
+            // PUSH: u - 1, s - 1, p + 1.
+            let u_copy = copy(&tx, &su, wu - 1);
+            let s_copy = copy(&tx, &ss, ws - 1);
+            let children = sides(ud, u_copy.word(), s_copy.word());
+            internal(&tx, p.immutable().key, clamp(wp + 1), children)
+        } else if child(far_w).immutable().weight == 0 {
+            // W-FAR: single rotation towards u; far nephew gets weight
+            // 1; u loses one. u left: t = (s.key, wp){ (p.key, 1){u',
+            // near}, far' }.
+            let sfar = tx.llx(child(far_w))?;
+            let u_copy = copy(&tx, &su, wu - 1);
+            let far_copy = copy(&tx, &sfar, 1);
+            let n1 = internal(&tx, p.immutable().key, 1, sides(ud, u_copy.word(), near_w));
+            let children = sides(ud, n1.word(), far_copy.word());
+            internal(&tx, s.immutable().key, clamp(wp), children)
+        } else {
+            // W-NEAR: double rotation through the red near nephew. u
+            // left: t = (near.key, wp){ (p.key, 1){u', near.left},
+            // (s.key, 1){near.right, far} }.
+            let near = child(near_w);
+            let snear = tx.llx(near)?;
+            let u_copy = copy(&tx, &su, wu - 1);
+            let pn_children = sides(ud, u_copy.word(), snear.value(ud));
+            let pn = internal(&tx, p.immutable().key, 1, pn_children);
+            let sn_children = sides(ud, snear.value(1 - ud), far_w);
+            let sn = internal(&tx, s.immutable().key, 1, sn_children);
+            let children = sides(ud, pn.word(), sn.word());
+            internal(&tx, near.immutable().key, clamp(wp), children)
+        };
+        // SAFETY: R = V[1..], every record of which `t` replaces.
+        unsafe { tx.commit(ppd, t, None) }.then_some(())
     }
 
     /// The smallest user key and its value (traversal semantics).
@@ -975,5 +497,46 @@ impl<K, V> Drop for ChromaticTree<K, V> {
 impl<K: Copy + Ord + fmt::Debug, V: Clone + fmt::Debug> fmt::Debug for ChromaticTree<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.to_vec()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fixed sequential script that exercises inserts, removes and
+    /// rebalancing. Its step counts were taken from the hand-written
+    /// update attempts that preceded `llx_scx::Tx`: the template must
+    /// issue the same LLXs and SCXs, with the same `V` and `R`.
+    #[test]
+    fn sequential_script_step_counts_are_pinned() {
+        let domain = TreeDomain::with_stats();
+        let root = new_root(&domain);
+        let t: ChromaticTree<u64, u64> = ChromaticTree { domain, root };
+        for i in 0..200u64 {
+            t.insert((i * 37) % 211, i);
+        }
+        for i in (0..200u64).step_by(3) {
+            t.remove((i * 37) % 211);
+        }
+        for i in 0..100u64 {
+            t.insert(i * 2, i);
+        }
+        for i in 0..211u64 {
+            t.remove(i);
+        }
+        t.check_balanced().unwrap();
+        assert!(t.is_empty());
+        let s = t.domain.stats().unwrap();
+        assert_eq!(
+            (
+                s.llx_attempts,
+                s.scx_attempts,
+                s.update_cas,
+                s.total_writes()
+            ),
+            (2772, 808, 808, 3546),
+            "(LLX, SCX, update CAS, writes)"
+        );
     }
 }

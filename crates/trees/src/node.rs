@@ -11,7 +11,7 @@
 //! root holds `Inf2`, the initial leaves hold `Inf1`/`Inf2`, and every
 //! user key compares below both.
 
-use llx_scx::DataRecord;
+use llx_scx::{DataRecord, Fresh, Llx, Tx};
 
 /// Mutable field index of the left child pointer.
 pub(crate) const LEFT: usize = 0;
@@ -66,6 +66,90 @@ pub type Node<K, V> = DataRecord<2, NodeInfo<K, V>>;
 
 /// Shorthand for the LLX/SCX domain of a tree.
 pub type TreeDomain<K, V> = llx_scx::Domain<2, NodeInfo<K, V>>;
+
+/// An update attempt on a tree (see [`llx_scx::Tx`]).
+pub(crate) type TreeTx<'d, 'g, K, V> = Tx<'d, 'g, 2, NodeInfo<K, V>>;
+
+/// A node allocated by a [`TreeTx`].
+pub(crate) type FreshNode<'t, K, V> = Fresh<'t, 2, NodeInfo<K, V>>;
+
+/// A linked LLX of a tree node.
+pub(crate) type Snap<'g, K, V> = Llx<'g, 2, NodeInfo<K, V>>;
+
+/// A fresh leaf of weight 1.
+pub(crate) fn leaf<'t, K, V>(
+    tx: &'t TreeTx<'_, '_, K, V>,
+    key: TreeKey<K>,
+    value: Option<V>,
+) -> FreshNode<'t, K, V> {
+    let info = NodeInfo {
+        key,
+        weight: 1,
+        value,
+    };
+    tx.alloc(info, [llx_scx::NULL, llx_scx::NULL])
+}
+
+/// A fresh internal node with children `[left, right]`.
+pub(crate) fn internal<'t, K, V>(
+    tx: &'t TreeTx<'_, '_, K, V>,
+    key: TreeKey<K>,
+    weight: u32,
+    children: [u64; 2],
+) -> FreshNode<'t, K, V> {
+    debug_assert!(children.iter().all(|&c| c != llx_scx::NULL));
+    let info = NodeInfo {
+        key,
+        weight,
+        value: None,
+    };
+    tx.alloc(info, children)
+}
+
+/// A fresh copy of a snapshotted node, children from the snapshot,
+/// with weight `weight`.
+pub(crate) fn copy<'t, K: Copy, V: Clone>(
+    tx: &'t TreeTx<'_, '_, K, V>,
+    s: &Snap<'_, K, V>,
+    weight: u32,
+) -> FreshNode<'t, K, V> {
+    let info = s.record().immutable();
+    let info = NodeInfo {
+        key: info.key,
+        weight,
+        value: info.value.clone(),
+    };
+    tx.alloc(info, *s.values())
+}
+
+/// Children `[left, right]` with `a` on side `dir` and `b` on the other:
+/// writes a transformation once for both mirror images.
+#[inline]
+pub(crate) fn sides(dir: usize, a: u64, b: u64) -> [u64; 2] {
+    if dir == LEFT {
+        [a, b]
+    } else {
+        [b, a]
+    }
+}
+
+/// LLX two children of one parent, `a` on side `a_dir` and `b` on the
+/// other, in left-to-right order (the traversal order `V` follows);
+/// returns the snapshots of `a` and `b`.
+pub(crate) fn llx_pair<'g, const M: usize, I>(
+    tx: &Tx<'_, 'g, M, I>,
+    a: &'g DataRecord<M, I>,
+    a_dir: usize,
+    b: &'g DataRecord<M, I>,
+) -> Option<(Llx<'g, M, I>, Llx<'g, M, I>)> {
+    if a_dir == LEFT {
+        let sa = tx.llx(a)?;
+        Some((sa, tx.llx(b)?))
+    } else {
+        let sb = tx.llx(b)?;
+        Some((tx.llx(a)?, sb))
+    }
+}
 
 /// Whether a node is a leaf. Leaves are created with null children and
 /// children never become null, so this is a stable property.

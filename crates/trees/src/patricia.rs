@@ -8,12 +8,21 @@
 //! * the trie is binary and leaf-oriented over `u64` keys; internal
 //!   nodes carry the branch bit (bits strictly decrease downward);
 //! * `insert` splices one fresh internal node above the first edge whose
-//!   subtree disagrees with the new key at the branch bit — one SCX on
-//!   the parent, nothing finalized (the displaced subtree is re-linked);
-//! * `remove` unlinks the leaf and its parent, promoting the sibling —
-//!   the same `SCX(V=⟨gp, p, l⟩, R=⟨p, l⟩)` shape as the BST delete;
-//! * the empty trie is a fresh *empty sentinel* node (never a repeated
-//!   null pointer — the §4.1 no-ABA contract again).
+//!   subtree first differs from the new key at the branch bit — one SCX
+//!   on the parent, nothing finalized (the displaced subtree is
+//!   re-linked below the new node);
+//! * `remove` unlinks the leaf and its parent and puts a copy of the
+//!   sibling in their place — `SCX(V=⟨gp, p, l, s⟩, R=⟨p, l, s⟩)`, as the
+//!   chromatic tree's delete;
+//! * the empty trie is a fresh *empty sentinel* node, only ever the
+//!   entry point's child: a splice never lands above it.
+//!
+//! Every update runs through [`llx_scx::Tx`], so every SCX's `new` is a
+//! node the same attempt allocated and no field ever receives a value
+//! it held before (§4.1). The sibling copy is what this costs: a splice
+//! moves a subtree `c` down from `p.fld`, and promoting the sibling
+//! would move `c` back, so `p.fld` would go `c → I → c` and a helper
+//! stalled before the splice's update CAS could apply it a second time.
 //!
 //! Unlike the comparison-based trees, depth is bounded by the key width
 //! (≤ 64) regardless of adversarial insertion order, with no
@@ -21,10 +30,9 @@
 
 use std::fmt;
 
-use llx_scx::{DataRecord, FieldId, Guard, ScxRequest};
+use llx_scx::{DataRecord, Guard, Tx};
 
-const LEFT: usize = 0;
-const RIGHT: usize = 1;
+use crate::node::{llx_pair, sides, LEFT, RIGHT};
 
 /// Payload of a trie node.
 #[derive(Debug, Clone)]
@@ -78,6 +86,16 @@ fn bit_of(key: u64, bit: u32) -> usize {
     }
 }
 
+/// The child field `key` routes to below `n`: the branch bit's side at
+/// an internal node, `LEFT` at the entry point.
+#[inline]
+fn child_dir<V>(n: &Node<V>, key: u64) -> usize {
+    match n.immutable().kind {
+        PatKind::Internal { bit } => bit_of(key, bit),
+        _ => LEFT,
+    }
+}
+
 impl<V: Clone> PatriciaTrie<V> {
     /// An empty trie.
     pub fn new() -> Self {
@@ -99,16 +117,6 @@ impl<V: Clone> PatriciaTrie<V> {
         PatriciaTrie { domain, root }
     }
 
-    fn alloc_leaf(&self, key: u64, value: V) -> *const Node<V> {
-        self.domain.alloc(
-            PatInfo {
-                key,
-                kind: PatKind::Leaf(value),
-            },
-            [llx_scx::NULL, llx_scx::NULL],
-        )
-    }
-
     /// Descend to the leaf (or empty sentinel) the key routes to,
     /// tracking the parent and grandparent.
     fn search<'g>(
@@ -126,6 +134,35 @@ impl<V: Clone> PatriciaTrie<V> {
             l = unsafe { self.domain.deref(l.read(bit_of(key, bit)), guard) };
         }
         (gp, p, l)
+    }
+
+    /// The edge a splice for `key` takes when `key` first differs from
+    /// the trie at bit `d`: the first node `c` on `key`'s path that does
+    /// not branch above `d`, its parent `p` and the field of `p` holding
+    /// it. `None` (retry) unless `c` still first differs from `key` at
+    /// `d` — and always for the empty sentinel, which must stay the
+    /// entry point's only child (the insert's empty branch replaces it).
+    fn insertion_edge<'g>(
+        &self,
+        key: u64,
+        d: u32,
+        guard: &'g Guard,
+    ) -> Option<(&'g Node<V>, usize, &'g Node<V>)> {
+        // SAFETY: root never retired; children guard-protected.
+        let mut p: &'g Node<V> = unsafe { &*self.root };
+        let mut fld = LEFT;
+        let mut c: &'g Node<V> = unsafe { self.domain.deref(p.read(fld), guard) };
+        while let PatKind::Internal { bit } = c.immutable().kind {
+            if bit < d {
+                break;
+            }
+            p = c;
+            fld = bit_of(key, bit);
+            c = unsafe { self.domain.deref(c.read(fld), guard) };
+        }
+        let diff = c.immutable().key ^ key;
+        let empty = matches!(c.immutable().kind, PatKind::Empty);
+        (!empty && diff != 0 && 63 - diff.leading_zeros() == d).then_some((p, fld, c))
     }
 
     /// The value for `key`, if present.
@@ -147,103 +184,52 @@ impl<V: Clone> PatriciaTrie<V> {
     pub fn insert(&self, key: u64, value: V) -> bool {
         loop {
             let guard = llx_scx::pin();
-            let (_gp, _p, l) = self.search(key, &guard);
-            match &l.immutable().kind {
-                PatKind::Leaf(_) if l.immutable().key == key => return false,
-                PatKind::Empty => {
-                    // Replace the empty sentinel with the first leaf.
-                    let root: &Node<V> = unsafe { &*self.root };
-                    let (Some(sr), Some(se)) = (
-                        self.domain.llx(root, &guard).snapshot(),
-                        self.domain.llx(l, &guard).snapshot(),
-                    ) else {
-                        continue;
-                    };
-                    if sr.value(LEFT) != llx_scx::pack_ptr(l as *const Node<V>) {
-                        continue;
-                    }
-                    let leaf = self.alloc_leaf(key, value.clone());
-                    if self.domain.scx(
-                        ScxRequest::new(&[sr, se], FieldId::new(0, LEFT), llx_scx::pack_ptr(leaf))
-                            .finalize(1),
-                        &guard,
-                    ) {
-                        // SAFETY: sentinel unlinked by the committed SCX.
-                        unsafe { self.domain.retire(l as *const Node<V>, &guard) };
-                        return true;
-                    }
-                    // SAFETY: never published.
-                    unsafe { self.domain.dealloc(leaf) };
-                }
-                _ => {
-                    // Splice a new internal node at the first edge whose
-                    // subtree branches below the differing bit.
-                    let diff = l.immutable().key ^ key;
-                    debug_assert_ne!(diff, 0);
-                    let d = 63 - diff.leading_zeros();
-                    // Re-descend to the insertion edge: parent `p`,
-                    // child `c` with (c leaf or c.bit < d).
-                    let mut p: &Node<V> = unsafe { &*self.root };
-                    let mut fld = LEFT;
-                    let mut c: &Node<V> = unsafe { self.domain.deref(p.read(fld), &guard) };
-                    while let PatKind::Internal { bit } = c.immutable().kind {
-                        if bit < d {
-                            break;
-                        }
-                        p = c;
-                        fld = bit_of(key, bit);
-                        c = unsafe { self.domain.deref(c.read(fld), &guard) };
-                    }
-                    let Some(sp) = self.domain.llx(p, &guard).snapshot() else {
-                        continue;
-                    };
-                    if sp.value(fld) != llx_scx::pack_ptr(c as *const Node<V>) {
-                        continue;
-                    }
-                    // The subtree `c` must still disagree with `key` at
-                    // bit d (it can have been replaced by the time we
-                    // re-descended; the key field check catches that).
-                    if (c.immutable().key ^ key) >> d == 0
-                        || 63 - ((c.immutable().key ^ key).leading_zeros()) != d
-                    {
-                        continue;
-                    }
-                    let leaf = self.alloc_leaf(key, value.clone());
-                    let (lw, rw) = if bit_of(key, d) == LEFT {
-                        (
-                            llx_scx::pack_ptr(leaf),
-                            llx_scx::pack_ptr(c as *const Node<V>),
-                        )
-                    } else {
-                        (
-                            llx_scx::pack_ptr(c as *const Node<V>),
-                            llx_scx::pack_ptr(leaf),
-                        )
-                    };
-                    let internal = self.domain.alloc(
-                        PatInfo {
-                            key,
-                            kind: PatKind::Internal { bit: d },
-                        },
-                        [lw, rw],
-                    );
-                    // V = ⟨p⟩: the displaced subtree `c` is re-linked,
-                    // not modified; any concurrent replacement of `c`
-                    // must modify `p` and therefore conflicts on `p`.
-                    if self.domain.scx(
-                        ScxRequest::new(&[sp], FieldId::new(0, fld), llx_scx::pack_ptr(internal)),
-                        &guard,
-                    ) {
-                        return true;
-                    }
-                    // SAFETY: never published.
-                    unsafe {
-                        self.domain.dealloc(internal);
-                        self.domain.dealloc(leaf);
-                    }
-                }
+            if let Some(inserted) = self.try_insert(key, &value, &guard) {
+                return inserted;
             }
         }
+    }
+
+    /// One insert attempt: `Some(false)` if `key` is present,
+    /// `Some(true)` once inserted, `None` to retry.
+    fn try_insert(&self, key: u64, value: &V, guard: &Guard) -> Option<bool> {
+        let (_, _, l) = self.search(key, guard);
+        let (p, fld, c) = match &l.immutable().kind {
+            PatKind::Leaf(_) if l.immutable().key == key => return Some(false),
+            // SAFETY: the entry point is never retired.
+            PatKind::Empty => (unsafe { &*self.root }, LEFT, l),
+            _ => {
+                let diff = l.immutable().key ^ key;
+                self.insertion_edge(key, 63 - diff.leading_zeros(), guard)?
+            }
+        };
+        let empty = matches!(c.immutable().kind, PatKind::Empty);
+        let tx = Tx::new(&self.domain, guard);
+        let sp = tx.llx(p)?;
+        if empty {
+            tx.llx(c)?;
+        }
+        let c_word = llx_scx::pack_ptr(c as *const Node<V>);
+        if sp.value(fld) != c_word {
+            return None;
+        }
+        let kind = PatKind::Leaf(value.clone());
+        let leaf = tx.alloc(PatInfo { key, kind }, [llx_scx::NULL, llx_scx::NULL]);
+        let n = if empty {
+            // The first leaf replaces the sentinel: V = ⟨root, c⟩,
+            // R = ⟨c⟩.
+            leaf
+        } else {
+            // Splice a new internal node above `c`: V = ⟨p⟩, R = ⟨⟩.
+            // `c` is re-linked, not modified; any concurrent
+            // replacement of `c` must modify `p` and conflicts there.
+            let d = 63 - (c.immutable().key ^ key).leading_zeros();
+            let kind = PatKind::Internal { bit: d };
+            let children = sides(bit_of(key, d), leaf.word(), c_word);
+            tx.alloc(PatInfo { key, kind }, children)
+        };
+        // SAFETY: R is the sentinel `n` replaces, or empty.
+        unsafe { tx.commit(fld, n, None) }.then_some(true)
     }
 
     /// Remove `key`, returning its value if present.
@@ -251,88 +237,56 @@ impl<V: Clone> PatriciaTrie<V> {
         loop {
             let guard = llx_scx::pin();
             let (gp, p, l) = self.search(key, &guard);
-            match &l.immutable().kind {
-                PatKind::Leaf(_) if l.immutable().key == key => {}
-                _ => return None,
+            let PatKind::Leaf(v) = &l.immutable().kind else {
+                return None;
+            };
+            if l.immutable().key != key {
+                return None;
             }
-            let value = match &l.immutable().kind {
-                PatKind::Leaf(v) => Some(v.clone()),
-                _ => unreachable!(),
-            };
-            if std::ptr::eq(p, self.root as *const Node<V>) {
-                // The only leaf: replace it with a fresh empty sentinel
-                // (never reuse a pointer value — §4.1).
-                let (Some(sp), Some(sl)) = (
-                    self.domain.llx(p, &guard).snapshot(),
-                    self.domain.llx(l, &guard).snapshot(),
-                ) else {
-                    continue;
-                };
-                if sp.value(LEFT) != llx_scx::pack_ptr(l as *const Node<V>) {
-                    continue;
-                }
-                let empty = self.domain.alloc(
-                    PatInfo {
-                        key: 0,
-                        kind: PatKind::Empty,
-                    },
-                    [llx_scx::NULL, llx_scx::NULL],
-                );
-                if self.domain.scx(
-                    ScxRequest::new(&[sp, sl], FieldId::new(0, LEFT), llx_scx::pack_ptr(empty))
-                        .finalize(1),
-                    &guard,
-                ) {
-                    // SAFETY: unlinked by the committed SCX.
-                    unsafe { self.domain.retire(l as *const Node<V>, &guard) };
-                    return value;
-                }
-                // SAFETY: never published.
-                unsafe { self.domain.dealloc(empty) };
-                continue;
-            }
-            // General case: unlink l and p, promote the sibling
-            // (identical template to the BST delete).
-            let gp = gp.expect("non-root parent implies grandparent");
-            let (Some(sgp), Some(sp), Some(sl)) = (
-                self.domain.llx(gp, &guard).snapshot(),
-                self.domain.llx(p, &guard).snapshot(),
-                self.domain.llx(l, &guard).snapshot(),
-            ) else {
-                continue;
-            };
-            let gd = if std::ptr::eq(gp, self.root as *const Node<V>) {
-                LEFT
-            } else {
-                match gp.immutable().kind {
-                    PatKind::Internal { bit } => bit_of(key, bit),
-                    _ => unreachable!("grandparent is internal"),
-                }
-            };
-            let pd = match p.immutable().kind {
-                PatKind::Internal { bit } => bit_of(key, bit),
-                _ => unreachable!("parent is internal"),
-            };
-            if sgp.value(gd) != llx_scx::pack_ptr(p as *const Node<V>)
-                || sp.value(pd) != llx_scx::pack_ptr(l as *const Node<V>)
-            {
-                continue;
-            }
-            let sibling = sp.value(1 - pd);
-            if self.domain.scx(
-                ScxRequest::new(&[sgp, sp, sl], FieldId::new(0, gd), sibling)
-                    .finalize(1)
-                    .finalize(2),
-                &guard,
-            ) {
-                // SAFETY: both unlinked by the committed SCX.
-                unsafe {
-                    self.domain.retire(p as *const Node<V>, &guard);
-                    self.domain.retire(l as *const Node<V>, &guard);
-                }
-                return value;
+            if self.try_remove(key, gp, p, l, &guard).is_some() {
+                return Some(v.clone());
             }
         }
+    }
+
+    /// One attempt to unlink the leaf `l` (parent `p`, grandparent
+    /// `gp`); `None` to retry.
+    fn try_remove<'g>(
+        &self,
+        key: u64,
+        gp: Option<&'g Node<V>>,
+        p: &'g Node<V>,
+        l: &'g Node<V>,
+        guard: &'g Guard,
+    ) -> Option<()> {
+        let tx = Tx::new(&self.domain, guard);
+        let l_word = llx_scx::pack_ptr(l as *const Node<V>);
+        let Some(gp) = gp else {
+            // The only leaf (p is the entry point): replace it with a
+            // fresh empty sentinel, V = ⟨root, l⟩, R = ⟨l⟩.
+            let sp = tx.llx(p)?;
+            tx.llx(l)?;
+            if sp.value(LEFT) != l_word {
+                return None;
+            }
+            let kind = PatKind::Empty;
+            let empty = tx.alloc(PatInfo { key: 0, kind }, [llx_scx::NULL, llx_scx::NULL]);
+            // SAFETY: R = ⟨l⟩, which `empty` replaces.
+            return unsafe { tx.commit(LEFT, empty, None) }.then_some(());
+        };
+        // Unlink l and p and put a copy of the sibling s in their place.
+        let sgp = tx.llx(gp)?;
+        let sp = tx.llx(p)?;
+        let (gd, pd) = (child_dir(gp, key), child_dir(p, key));
+        if sgp.value(gd) != llx_scx::pack_ptr(p as *const Node<V>) || sp.value(pd) != l_word {
+            return None;
+        }
+        // SAFETY: a child of a snapshotted node, protected by `guard`.
+        let s: &Node<V> = unsafe { self.domain.deref(sp.value(1 - pd), guard) };
+        let (_, ss) = llx_pair(&tx, l, pd, s)?;
+        let s_copy = tx.alloc(s.immutable().clone(), *ss.values());
+        // SAFETY: R = ⟨p, l, s⟩, which `s_copy` replaces.
+        unsafe { tx.commit(gd, s_copy, None) }.then_some(())
     }
 
     /// Fold over `(key, value)` pairs in ascending key order (traversal
@@ -594,5 +548,45 @@ impl<V> Drop for PatriciaTrie<V> {
 impl<V: Clone + fmt::Debug> fmt::Debug for PatriciaTrie<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.to_vec()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The empty sentinel has key 0, so "first differs from `key` at
+    /// bit `d`" holds for it whenever `msb(key) == d`. Taking it as an
+    /// insertion edge would splice the sentinel under an internal node,
+    /// where no insert can ever replace it.
+    #[test]
+    fn insertion_edge_refuses_the_empty_sentinel() {
+        let t: PatriciaTrie<()> = PatriciaTrie::new();
+        let guard = llx_scx::pin();
+        assert!(t.insertion_edge(0b1000, 3, &guard).is_none());
+        drop(guard);
+        // And the fresh sentinel a removal of the last key leaves.
+        assert!(t.insert(7, ()));
+        assert_eq!(t.remove(7), Some(()));
+        let guard = llx_scx::pin();
+        assert!(t.insertion_edge(0b1000, 3, &guard).is_none());
+    }
+
+    /// A real leaf with key 0 passes the same test the sentinel fails.
+    #[test]
+    fn insertion_edge_of_a_single_leaf() {
+        let t: PatriciaTrie<()> = PatriciaTrie::new();
+        assert!(t.insert(0, ()));
+        let guard = llx_scx::pin();
+        let (p, fld, c) = t
+            .insertion_edge(0b1000, 3, &guard)
+            .expect("msb(0b1000) == 3");
+        assert!(std::ptr::eq(p, t.root));
+        assert_eq!((fld, c.immutable().key), (LEFT, 0));
+        assert!(t.insertion_edge(0b1000, 2, &guard).is_none(), "wrong bit");
+        drop(guard);
+        assert!(t.insert(0b1000, ()));
+        assert_eq!(t.to_vec(), vec![(0, ()), (0b1000, ())]);
+        t.check_invariants().unwrap();
     }
 }

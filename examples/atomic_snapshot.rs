@@ -4,8 +4,9 @@
 //!
 //! * `Multiset::get_many` — counts of several keys that all held at one
 //!   linearization point (an LLX per deciding node + one VLX);
-//! * `llx_scx::Tx` — the §2 "restricted transaction" shape: any number
-//!   of snapshot reads, then one write plus finalizations.
+//! * `llx_scx::Tx` — the §2 "restricted transaction" shape as one
+//!   update attempt: LLXs, fresh records, then one pointer swing that
+//!   finalizes (and retires) the records it replaces.
 //!
 //! The demo models an inventory with a conservation law (total stock of
 //! 100 units across three warehouses, moved by two-step transfers) and
@@ -17,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use llx_scx::{Domain, FieldId, Tx};
+use llx_scx::{DataRecord, Domain, Tx};
 use multiset::Multiset;
 
 fn main() {
@@ -81,27 +82,34 @@ fn main() {
     );
     assert_eq!(impossible_atomic.load(Ordering::Relaxed), 0);
 
-    // ---- Part 2: mini-transactions on raw records ---------------------
-    // A two-register "config" whose fields must change together.
-    let domain: Domain<1, &str> = Domain::new();
+    // ---- Part 2: an update attempt on raw records ---------------------
+    // A config register pointing at an immutable (version, payload)
+    // record: both change together by swinging the pointer to a fresh
+    // record, conditional on the LLXs of the register and the old record.
+    type Config = DataRecord<1, (u64, u64)>;
+    let domain: Domain<1, (u64, u64)> = Domain::new();
     let guard = llx_scx::pin();
-    let version = domain.alloc("version", [1]);
-    let payload = domain.alloc("payload", [100]);
+    let first = domain.alloc((1, 100), [llx_scx::NULL]);
+    let config = domain.alloc((0, 0), [llx_scx::pack_ptr(first)]);
 
-    let mut tx = Tx::new(&domain, &guard);
-    let v = tx.read(unsafe { &*version }).expect("uncontended");
-    let p = tx.read(unsafe { &*payload }).expect("uncontended");
-    println!("tx read: version={} payload={}", v[0], p[0]);
-    // Commit a payload change conditional on *both* reads: any
-    // interleaved change to either record would abort it.
-    let committed = tx.commit(FieldId::new(1, 0), p[0] + 1).run();
+    let tx = Tx::new(&domain, &guard);
+    tx.llx(unsafe { &*config }).expect("uncontended");
+    let cur = tx.llx(unsafe { &*first }).expect("uncontended");
+    let (version, payload) = *cur.record().immutable();
+    println!("tx read: version={version} payload={payload}");
+    // Any interleaved change to either record would abort the commit.
+    let next = tx.alloc((version + 1, payload + 1), [llx_scx::NULL]);
+    // SAFETY: R = ⟨first⟩, which the SCX unlinks from `config`.
+    let committed = unsafe { tx.commit(0, next, None) };
+    let now: &Config = unsafe { &*llx_scx::unpack_ptr((*config).read(0)) };
     println!(
-        "tx committed: {committed}; payload is now {}",
-        unsafe { &*payload }.read(0)
+        "tx committed: {committed}; (version, payload) is now {:?}",
+        now.immutable()
     );
     assert!(committed);
+    assert_eq!(*now.immutable(), (2, 101));
     unsafe {
-        domain.retire(version, &guard);
-        domain.retire(payload, &guard);
+        domain.retire(now, &guard);
+        domain.retire(config, &guard);
     }
 }

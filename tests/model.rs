@@ -552,6 +552,125 @@ fn kcas_conflict() -> Execution {
 }
 
 // ---------------------------------------------------------------------------
+// Kernel 7: a splice undone by an uncopied promotion (patricia's §4.1 ABA)
+// ---------------------------------------------------------------------------
+
+/// A Patricia-shaped neighbourhood built directly on `Domain`: the entry
+/// record `p` whose `LEFT` field holds the leaf `c`. T1 splices a new
+/// internal node `i` over a new leaf `x` and `c` with `V=⟨p⟩`, and can
+/// stall before its update CAS. T2 LLXes `p` (helping T1's SCX commit
+/// if it finds `p` frozen for it) and then removes `x` again, putting
+/// `i`'s other child back into `p.LEFT`: `c` itself with `V=⟨p, i, x⟩`
+/// (`copy_sibling = false`) or a fresh copy of `c` with `V=⟨p, i, x, c⟩`
+/// (`true`, the only shape `llx_scx::Tx` can express). Without the copy `p.LEFT` goes
+/// `c → i → c` and T1's resumed update CAS wins a second time, which
+/// debug builds of the library catch.
+fn splice_promote(copy_sibling: bool) -> Execution {
+    use llx_scx::{pack_ptr, DataRecord, NULL};
+    const LEFT: usize = 0;
+    reset_world();
+    let dom: Arc<Domain<2, u8>> = Arc::new(Domain::new());
+    let c = Ptr(dom.alloc(0, [NULL, NULL]));
+    let c_word = pack_ptr(c.0);
+    let p = Ptr(dom.alloc(0, [c_word, NULL]));
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    {
+        let dom = dom.clone();
+        threads.push(Box::new(move || {
+            let guard = llx_scx::pin();
+            for _ in 0..16 {
+                let Some(sp) = dom.llx(unsafe { p.get() }, &guard).snapshot() else {
+                    continue;
+                };
+                let x = dom.alloc(1, [NULL, NULL]);
+                let i = dom.alloc(2, [pack_ptr(x), c_word]);
+                if dom.scx(
+                    ScxRequest::new(&[sp], FieldId::new(0, LEFT), pack_ptr(i)),
+                    &guard,
+                ) {
+                    return;
+                }
+            }
+        }));
+    }
+    {
+        let dom = dom.clone();
+        threads.push(Box::new(move || {
+            let guard = llx_scx::pin();
+            let rc = unsafe { c.get() };
+            let rec = |w: u64| unsafe { &*(w as usize as *const DataRecord<2, u8>) };
+            for _ in 0..16 {
+                let Some(sp) = dom.llx(unsafe { p.get() }, &guard).snapshot() else {
+                    continue;
+                };
+                if sp.value(LEFT) == c_word {
+                    return; // the splice is not visible: nothing to remove
+                }
+                let Some(si) = dom.llx(rec(sp.value(LEFT)), &guard).snapshot() else {
+                    continue;
+                };
+                let Some(sx) = dom.llx(rec(si.value(LEFT)), &guard).snapshot() else {
+                    continue;
+                };
+                let committed = if copy_sibling {
+                    let Some(sc) = dom.llx(rc, &guard).snapshot() else {
+                        continue;
+                    };
+                    let copy = dom.alloc(*rc.immutable(), *sc.values());
+                    let v = [sp, si, sx, sc];
+                    let req = ScxRequest::new(&v, FieldId::new(0, LEFT), pack_ptr(copy));
+                    dom.scx(req.finalize_mask(0b1110), &guard)
+                } else {
+                    let v = [sp, si, sx];
+                    let req = ScxRequest::new(&v, FieldId::new(0, LEFT), c_word);
+                    dom.scx(req.finalize_mask(0b110), &guard)
+                };
+                if committed {
+                    return;
+                }
+            }
+        }));
+    }
+    Execution::new(threads).with_check(move || {
+        let guard = llx_scx::pin();
+        let top = unsafe { p.get() }.read(LEFT) as usize as *const DataRecord<2, u8>;
+        let linked_finalized = unsafe { &*top }.is_marked();
+        drop(guard);
+        assert!(!linked_finalized, "p.LEFT links a finalized record");
+    })
+}
+
+/// Explorer pinned at bound >= 2: the regression tests must find their
+/// races even when a quick run exports `LLX_MODEL_BOUND=1`.
+fn detector() -> Explorer {
+    let mut ex = Explorer::from_env();
+    ex.bound = ex.bound.max(2);
+    ex
+}
+
+/// Explore `factory` twice with [`detector`]; assert a failure is found,
+/// on the same schedule both times, and return its message.
+fn find_deterministically<F: FnMut() -> Execution + Copy>(name: &str, factory: F) -> String {
+    let first = detector().explore(name, factory);
+    assert!(
+        !first.failures.is_empty(),
+        "{name}: bound {} explored {} schedules without a failure",
+        detector().bound,
+        first.schedules
+    );
+    let again = detector().explore(name, factory);
+    assert_eq!(
+        first.failures[0].schedule, again.failures[0].schedule,
+        "detection must be deterministic, not probabilistic"
+    );
+    println!(
+        "{name}: found after {} schedules: {}",
+        first.schedules, first.failures[0].message
+    );
+    first.failures[0].message.clone()
+}
+
+// ---------------------------------------------------------------------------
 // Fixed-semantics suite: exhaustive up to the bound, zero failures
 // ---------------------------------------------------------------------------
 
@@ -606,6 +725,27 @@ mod fixed {
         );
     }
 
+    /// Kernel 7 with the sibling copied: clean under every schedule.
+    #[test]
+    fn splice_promote_copied_exhaustive() {
+        let r = detector().check("splice_promote[copy]", || splice_promote(true));
+        println!(
+            "splice_promote[copy]: {} schedules, {} abandoned",
+            r.schedules, r.abandoned
+        );
+    }
+
+    /// Kernel 7 with the sibling itself promoted: the library's
+    /// update-CAS detector must name the second win, deterministically.
+    /// This bug lives in the client, not behind a library cfg gate, so
+    /// the test runs in the clean build.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn finds_uncopied_promotion_aba() {
+        let msg = find_deterministically("splice_promote[uncopied]", || splice_promote(false));
+        assert!(msg.contains("update CAS won twice"), "{msg}");
+    }
+
     #[test]
     fn stage2_handshake_exhaustive() {
         let r = Explorer::from_env().check("stage2_handshake", stage2_handshake);
@@ -624,16 +764,6 @@ mod fixed {
 mod regression {
     use super::*;
 
-    /// Both seed races need two preemptions to fire, so detection is
-    /// guaranteed at the default bound (2) and the suite pins that as a
-    /// floor — a CI quick run exporting `LLX_MODEL_BOUND=1` must not
-    /// silently turn these into vacuous passes.
-    fn detector() -> Explorer {
-        let mut ex = Explorer::from_env();
-        ex.bound = ex.bound.max(2);
-        ex
-    }
-
     /// The SCX-record address-recycling ABA (PR 2, seed race A): with the
     /// `info_fields` holds and the epoch stage gated out, the explorer
     /// must find a schedule where a stalled helper's freezing CAS runs
@@ -641,23 +771,7 @@ mod regression {
     /// time.
     #[test]
     fn finds_scx_recycling_aba() {
-        let run = || detector().explore("pool_recycle[bugs]", pool_recycle);
-        let first = run();
-        assert!(
-            !first.failures.is_empty(),
-            "bound {} explored {} schedules without finding the recycling ABA",
-            detector().bound,
-            first.schedules
-        );
-        let again = run();
-        assert_eq!(
-            first.failures[0].schedule, again.failures[0].schedule,
-            "detection must be deterministic, not probabilistic"
-        );
-        println!(
-            "recycling ABA found after {} schedules: {}",
-            first.schedules, first.failures[0].message
-        );
+        find_deterministically("pool_recycle[bugs]", pool_recycle);
     }
 
     /// The epoch-shim collect TOCTOU (PR 2, seed race B): with the
@@ -665,23 +779,7 @@ mod regression {
     /// reclaims under a pin the slot scan missed.
     #[test]
     fn finds_epoch_collect_toctou() {
-        let run = || detector().explore("pin_collect[bugs]", pin_collect);
-        let first = run();
-        assert!(
-            !first.failures.is_empty(),
-            "bound {} explored {} schedules without finding the collect TOCTOU",
-            detector().bound,
-            first.schedules
-        );
-        let again = run();
-        assert_eq!(
-            first.failures[0].schedule, again.failures[0].schedule,
-            "detection must be deterministic, not probabilistic"
-        );
-        println!(
-            "collect TOCTOU found after {} schedules: {}",
-            first.schedules, first.failures[0].message
-        );
+        find_deterministically("pin_collect[bugs]", pin_collect);
     }
 
     /// The stage-2 recycling race (PR 9, pre-existing since the PR-5
@@ -693,23 +791,7 @@ mod regression {
     /// (`stage2_handshake`, fixed suite) must survive every schedule.
     #[test]
     fn finds_stage2_recycling_race() {
-        let run = || detector().explore("stage2_handshake[prefix]", stage2_handshake_prefix);
-        let first = run();
-        assert!(
-            !first.failures.is_empty(),
-            "bound {} explored {} schedules without finding the stage-2 recycling race",
-            detector().bound,
-            first.schedules
-        );
-        let again = run();
-        assert_eq!(
-            first.failures[0].schedule, again.failures[0].schedule,
-            "detection must be deterministic, not probabilistic"
-        );
-        println!(
-            "stage-2 recycling race found after {} schedules: {}",
-            first.schedules, first.failures[0].message
-        );
+        find_deterministically("stage2_handshake[prefix]", stage2_handshake_prefix);
     }
 
     /// Sanity: kernels that don't exercise the gated code still pass with
