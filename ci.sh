@@ -14,15 +14,14 @@
 #                  also the only stage that runs the doctests and
 #                  builds the examples (`cargo test` does both)
 #   debug-stress   llx-scx, trees and multiset suites again with a
-#                  longer churn phase: the generation-stamp ABA
-#                  detectors, the Data-record lifecycle check and the
-#                  reclamation ledgers only exist under
-#                  debug_assertions, and rare races need soak time the
-#                  tier-1 defaults don't give
+#                  longer churn phase: the update-CAS detector (one
+#                  win per SCX) and the Data-record lifecycle check
+#                  only exist under debug_assertions, and rare races
+#                  need soak time the tier-1 defaults don't give
 #   scanwin        the two tests that read LLX_SCAN_WINDOW (windowed
 #                  scans under churn, per-window conservation laws
 #                  checked mid-churn) at windows 3 and 16 in release and
-#                  4 in debug, so the generation-stamp ABA detectors
+#                  4 in debug, so the debug-only detectors
 #                  soak the cursor paths
 #   shard          the sharded scale-out facade: linearizability, stress
 #                  conservation, scan-cursor edge cases and the sharded
@@ -38,12 +37,12 @@
 #   chaos          resilience soak under deterministic fault injection:
 #                  bench-harness `chaos` (resilient clients vs a
 #                  loopback server while the injector kills connections
-#                  mid-batch, tears frames, starves the SCX pool and
+#                  mid-batch, tears frames, starves the record pool and
 #                  skips epoch ticks) across five seeds in release
 #                  under `timeout`, asserting op-ledger conservation,
-#                  at-most-once mutations, zero SCX-record leaks and
-#                  bounded completion; plus a debug leg, so the
-#                  generation-stamp ABA detectors soak under skipped
+#                  at-most-once mutations, a bounded SCX descriptor
+#                  table and bounded completion; plus a debug leg, so
+#                  the debug-only detectors soak under skipped
 #                  collection ticks. A failing seed replays
 #                  bit-for-bit with tools/fault-replay.sh
 #   lin-long       long-history linearizability: every structure
@@ -65,13 +64,17 @@
 #                  then exhaustively explores the tests/model.rs kernels
 #                  up to the preemption bound. Two legs: the real
 #                  protocol must come back clean, and a second build
-#                  with `--cfg llx_model_bugs` re-introduces the PR-2
-#                  seed races, which the explorer must re-find
-#                  deterministically. A full ./ci.sh run explores the
-#                  clean kernels at bound 1 to stay quick;
+#                  with `--cfg llx_model_bugs` re-introduces three
+#                  races (an info word without its seq, a helper
+#                  skipping its re-check after copying a descriptor,
+#                  the epoch collect TOCTOU), which the explorer must
+#                  re-find deterministically. A full ./ci.sh run
+#                  explores the clean kernels at bound 1 to stay quick;
 #                  `./ci.sh --stage model` uses the default bound 2
 #                  (override with LLX_MODEL_BOUND). The regression
-#                  tests pin bound >= 2 themselves.
+#                  tests pin bound >= 2 themselves, and the descriptor
+#                  reuse kernel (whose race needs three preemptions)
+#                  bound >= 3 in both legs.
 #   audit          ordering-discipline audit (tools/ordering-audit.sh):
 #                  every SeqCst/Relaxed site must carry a `// ord:`
 #                  justification or an allowlist entry
@@ -143,11 +146,10 @@ stage_test() {
 stage_debug_stress() {
     # The `test` stage already runs these suites (debug profile) at the
     # small default knobs; re-run them with a much longer churn phase so
-    # the debug-only detectors — the generation-stamp ABA asserts at
-    # LLX revalidation and freezing-CAS displacement, and the
-    # Data-record lifecycle check on the recycled node path the trees
-    # and multiset drive — get enough soak to catch rare races, not
-    # just a smoke pass.
+    # the debug-only detectors — the update-CAS detector (a second win
+    # for one SCX panics), and the Data-record lifecycle check on the
+    # recycled node path the trees and multiset drive — get enough soak
+    # to catch rare races, not just a smoke pass.
     LLX_STRESS_MILLIS=600 cargo test -q -p llx-scx -p trees -p multiset
 }
 
@@ -157,8 +159,8 @@ stage_scanwin() {
     # conservation laws on every emitted window (tiling, in-window
     # ascent and bounds, key budget, positive counts) plus the quiescent
     # windowed-scan = len() law. Release: tiny windows (maximal boundary
-    # count) and mid-size. Debug: the generation-stamp ABA detectors and
-    # reclamation ledgers only exist under debug_assertions.
+    # count) and mid-size. Debug: the update-CAS detector and the
+    # Data-record lifecycle check only exist under debug_assertions.
     local tests=(--test conc_stress --test scan_cursor --
         every_structure_balances_under_windowed_scans windowed_scans_survive_concurrent_churn)
     local w
@@ -178,8 +180,8 @@ stage_shard() {
         cargo test -q --release -p llx-scx-repro \
         --test linearizability --test conc_stress --test scan \
         --test scan_cursor --test sharded
-    # Debug soak: the generation-stamp ABA detectors and reclamation
-    # ledgers only exist under debug_assertions — run the churn legs
+    # Debug soak: the update-CAS detector and the Data-record lifecycle
+    # check only exist under debug_assertions — run the churn legs
     # with them armed while stitched cursors cross shard seams.
     LLX_STRUCT='sharded(patricia,4)' LLX_SCAN_WINDOW=4 LLX_STRESS_MILLIS=250 \
         cargo test -q -p llx-scx-repro --test sharded --test scan_cursor
@@ -192,8 +194,8 @@ stage_shard() {
     #
     # Each run is still time-boxed (any hang must fail the stage, not
     # block CI), but with no retry: the recycling use-after-free that
-    # used to wedge compare runs in an infinite help loop is fixed
-    # (packed stage-2 claim word in ScxHeader::rc), so a timeout here
+    # used to wedge compare runs in an infinite help loop is gone with
+    # the SCX-record refcount it lived in, so a timeout here
     # is a real bug again, not known flakiness to paper over.
     cargo build -q --release -p bench-harness
     local _run
@@ -282,7 +284,7 @@ stage_compare_smoke() {
         <<<"$out"; then
         return 1
     fi
-    if ! grep -q "SCX-record pool:" <<<"$out"; then
+    if ! grep -q "Data-record pool:" <<<"$out"; then
         echo "scanwin output is missing the pool-stats line" >&2
         return 1
     fi
@@ -294,12 +296,12 @@ stage_chaos() {
     # leg: five consecutive seeds of `bench-harness chaos` — resilient
     # clients vs a loopback server while the injector kills
     # connections mid-batch, tears reply frames, drops scan streams,
-    # starves the SCX-record pool and skips epoch ticks — asserting
-    # op-ledger conservation, at-most-once mutations, zero SCX-record
-    # leaks and bounded completion, under `timeout` so a wedged retry
-    # loop or session thread fails the stage instead of hanging CI.
-    # Debug leg: the same fault mix with the generation-stamp ABA
-    # detectors (debug_assertions only) watching the reclamation races.
+    # starves the record pool and skips epoch ticks — asserting
+    # op-ledger conservation, at-most-once mutations, a bounded SCX
+    # descriptor table and bounded completion, under `timeout` so a
+    # wedged retry loop or session thread fails the stage instead of
+    # hanging CI. Debug leg: the same fault mix with the debug-only
+    # detectors (update CAS, Data-record lifecycle) watching.
     cargo build -q --release -p bench-harness
     LLX_CHAOS_RUNS=5 LLX_CHAOS_OPS=1500 \
         timeout 300 target/release/bench-harness chaos
@@ -336,7 +338,7 @@ stage_model() {
         bound="${LLX_MODEL_BOUND:-2}"
     fi
     echo "    exploring clean kernels at preemption bound $bound" \
-        "(regression legs pin bound >= 2)"
+        "(regression legs pin bound >= 2, descriptor_reuse >= 3)"
     # -p scopes to the workspace root's tests/model.rs (crates/multiset has
     # an unrelated `model` test target of its own).
     LLX_MODEL_BOUND="$bound" RUSTFLAGS="--cfg llx_model -Dwarnings" \

@@ -82,7 +82,7 @@ const EXPERIMENTS: &[Experiment] = &[
              fault injection (connection kills, torn frames, pool and
              epoch starvation — LLX_FAULT_SPEC/LLX_FAULT_SEED);
              asserts op-ledger conservation, at-most-once mutations,
-             zero SCX-record leaks, bounded completion; a failing
+             bounded SCX descriptors, bounded completion; a failing
              seed replays with tools/fault-replay.sh
              (not part of `all`: it binds a socket and arms the
              process-global fault injector)",
@@ -159,18 +159,18 @@ fn main() {
     print_pool_stats();
 }
 
-/// The SCX-record pool's process-global counters (also carried in
+/// The Data-record pool's process-global counters (also carried in
 /// `llx_scx::StatsSnapshot`), printed after every run: block reuse,
 /// batched defers and the cross-thread shard handoffs.
 fn print_pool_stats() {
     let p = llx_scx::pool_stats();
     let allocs = p.hits + p.misses;
     if allocs == 0 {
-        println!("\nSCX-record pool: no SCX allocations in this run");
+        println!("\nData-record pool: no allocations in this run");
         return;
     }
     println!(
-        "\nSCX-record pool: {} block reuses / {} allocator hits ({:.1}% reuse), {} batched defers, {} cross-thread handoffs",
+        "\nData-record pool: {} block reuses / {} allocator hits ({:.1}% reuse), {} batched defers, {} cross-thread handoffs",
         p.hits,
         p.misses,
         100.0 * p.hits as f64 / allocs as f64,

@@ -66,7 +66,7 @@ fn e1_table_shows_k_plus_1_cas_and_f_plus_2_writes() {
         })
         .filter(|r: &Vec<u64>| r.len() == 5)
         .collect();
-    assert_eq!(rows.len(), 16, "one row per k in 1..=16");
+    assert_eq!(rows.len(), 8, "one row per k in 1..=8");
     for r in rows {
         let k = r[0];
         assert_eq!(

@@ -1,7 +1,7 @@
 //! [`ShardedSet`]: the range-partitioned scale-out facade.
 //!
 //! Every harness in this repository used to drive a single structure
-//! instance — one root, one epoch domain, one SCX-record pool. The
+//! instance — one root, one epoch domain, one record pool. The
 //! LLX/SCX primitives bound contention *within* a structure (an SCX
 //! only freezes the `k` records it touches), but a single instance is
 //! still one allocation arena and one reclamation stream. `ShardedSet`

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::header::ScxHeader;
+use crate::header::MAX_V;
 use crate::record::DataRecord;
 
 /// A snapshot handle returned by a successful
@@ -22,13 +22,8 @@ use crate::record::DataRecord;
 /// snapshot (paper Corollary 60).
 pub struct Llx<'g, const M: usize, I> {
     pub(crate) record: &'g DataRecord<M, I>,
-    pub(crate) info: *const ScxHeader,
+    pub(crate) info: u64,
     pub(crate) values: [u64; M],
-    /// Debug builds: generation of the observed SCX-record, used to
-    /// assert the reclamation protocol never lets a recycled address
-    /// masquerade as the record this LLX linked to.
-    #[cfg(debug_assertions)]
-    pub(crate) info_gen: u64,
 }
 
 impl<'g, const M: usize, I> Llx<'g, M, I> {
@@ -149,14 +144,10 @@ impl<'v, 'g, const M: usize, I> ScxRequest<'v, 'g, M, I> {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is empty, longer than 64, or `fld` is out of range.
+    /// Panics if `v` is empty, longer than 8, or `fld` is out of range.
     pub fn new(v: &'v [Llx<'g, M, I>], fld: FieldId, new: u64) -> Self {
         assert!(!v.is_empty(), "SCX requires at least one linked LLX");
-        assert!(
-            v.len() <= crate::scx_record::MAX_V,
-            "SCX supports at most {} linked LLXs",
-            crate::scx_record::MAX_V
-        );
+        assert!(v.len() <= MAX_V, "SCX supports at most {MAX_V} linked LLXs");
         assert!(fld.record < v.len(), "fld.record out of range of V");
         assert!(fld.field < M, "fld.field out of range of the record");
         ScxRequest {
@@ -173,12 +164,10 @@ impl<'v, 'g, const M: usize, I> ScxRequest<'v, 'g, M, I> {
     ///
     /// Panics if the mask selects indices outside `V`.
     pub fn finalize_mask(mut self, mask: u64) -> Self {
-        if self.v.len() < 64 {
-            assert!(
-                mask & !((1u64 << self.v.len()) - 1) == 0,
-                "finalize mask selects records outside V"
-            );
-        }
+        assert!(
+            mask >> self.v.len() == 0,
+            "finalize mask selects records outside V"
+        );
         self.finalize_mask = mask;
         self
     }
@@ -237,6 +226,16 @@ mod tests {
     fn empty_v_panics() {
         let v: &[Llx<'_, 1, u32>] = &[];
         let _ = ScxRequest::new(v, FieldId::new(0, 0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 linked LLXs")]
+    fn nine_linked_llxs_panic() {
+        let domain: Domain<1, u32> = Domain::new();
+        let guard = crossbeam_epoch::pin();
+        let r = domain.alloc(1, [10]);
+        let snap = domain.llx(unsafe { &*r }, &guard).snapshot().unwrap();
+        let _ = ScxRequest::new(&[snap; 9], FieldId::new(0, 0), 1);
     }
 
     #[test]

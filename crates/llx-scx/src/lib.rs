@@ -17,11 +17,12 @@
 //! The implementation follows the paper's Figure 4 pseudocode line by
 //! line (each algorithm step named by the proofs — freezing CAS, frozen
 //! step, mark step, update CAS, commit/abort step — is an identifiable
-//! site in [`ops`]). The paper assumes a safe garbage collector; here
-//! that substrate is provided by `crossbeam-epoch` plus a reference count
-//! on SCX-records (see the `reclaim` module's source for the protocol),
-//! and dead records of both kinds are recycled through a per-thread
-//! pool (the `pool` module).
+//! site in [`ops`]). The paper assumes a safe garbage collector. Here
+//! SCX-records need none: each thread reuses one SCX descriptor and
+//! `info` fields hold `(tid, seq)` words that never recur (Arbel-Raviv &
+//! Brown, "Reuse, Don't Recycle", DISC 2017; the `header` module).
+//! Data-records are retired through `crossbeam-epoch` and their blocks
+//! recycled through a per-thread pool (the `pool` module).
 //!
 //! # Example
 //!
@@ -77,17 +78,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// With the bug gates active the dependency-stage machinery is compiled
-// out wholesale; the fallout is dead code, not an error.
-#![cfg_attr(llx_model_bugs, allow(dead_code))]
 
 mod field;
 mod handle;
 mod header;
-mod inline_vec;
 pub mod ops;
 mod pool;
-mod reclaim;
 mod record;
 mod scx_record;
 pub mod stats;
@@ -96,10 +92,9 @@ mod tx;
 
 pub use field::{pack_ptr, unpack_ptr, NULL};
 pub use handle::{FieldId, Llx, LlxResult, ScxRequest};
-pub use header::ScxState;
+pub use header::{scx_descriptors, ScxState};
 pub use ops::Domain;
 pub use record::DataRecord;
-pub use scx_record::live_scx_records;
 pub use stats::StatsSnapshot;
 pub use tx::{Fresh, Tx};
 
@@ -119,27 +114,25 @@ pub fn pin() -> Guard {
 
 /// Counters of the per-thread record pool (process-global, monotone).
 ///
-/// The pool recycles both SCX-records and Data-records. `hits` /
-/// `misses` count SCX-record allocations only, so `hits + misses` is
-/// the number of SCX-records allocated; `defers` and `handoffs` count
-/// the pool's work for both record kinds.
+/// The pool holds Data-records only (SCX-records are never allocated:
+/// each thread reuses one descriptor), so `hits + misses` is the number
+/// of Data-records allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// SCX-record allocations served without the global allocator:
+    /// Data-record allocations served without the global allocator:
     /// from the thread's free list, or from a shard adopted through the
     /// cross-thread handoff.
     pub hits: u64,
-    /// SCX-record allocations that fell through to the global
+    /// Data-record allocations that fell through to the global
     /// allocator.
     pub misses: u64,
     /// Epoch-deferred closures issued, one per sealed batch of up to 32
-    /// staged records; a batch may mix SCX-records (either stage) and
     /// retired Data-records.
     pub defers: u64,
-    /// Records/blocks of either kind handed across threads: orphan
-    /// adoptions at thread exit plus hot-path shard steals (free blocks
-    /// published by a retire-heavy thread and adopted by an
-    /// allocate-heavy one — the pipeline-workload case).
+    /// Records/blocks handed across threads: orphan adoptions at thread
+    /// exit plus hot-path shard steals (free blocks published by a
+    /// retire-heavy thread and adopted by an allocate-heavy one — the
+    /// pipeline-workload case).
     pub handoffs: u64,
 }
 
@@ -208,15 +201,15 @@ pub fn reset_pool_stats() {
 
 /// Drive record reclamation to quiescence from the calling thread.
 ///
-/// Seals this thread's partially filled batches (SCX-records in either
-/// stage and retired Data-records alike), adopts records stranded by
-/// threads that exited mid-batch, and repeatedly flushes the epoch
-/// queue so deferred destructions run. Each `Guard::flush` also waits
-/// for closures another thread's collection is still running; work
-/// those closures stage on that thread is handed over when it exits.
-/// So after all operations have ceased, all worker threads have joined
-/// and this has been called, every retired Data-record has been dropped
-/// and [`live_scx_records`] drains back to its baseline (debug builds).
+/// Seals this thread's partially filled batch of retired Data-records,
+/// adopts records stranded by threads that exited mid-batch, and
+/// repeatedly flushes the epoch queue so deferred destructions run.
+/// Each `Guard::flush` also waits for closures another thread's
+/// collection is still running. So after all operations have ceased,
+/// all worker threads have joined and this has been called, every
+/// retired Data-record has been dropped and its block is back in a
+/// pool. SCX descriptors are never reclaimed; [`scx_descriptors`]
+/// counts them.
 ///
 /// Intended for tests and teardown paths; never required for safety.
 pub fn flush_reclamation() {
@@ -224,8 +217,8 @@ pub fn flush_reclamation() {
         // Drain the global queue to empty (bounded: concurrent churn
         // can legitimately keep refilling it — quiescence is only
         // promised once workers have stopped). Each flush advances the
-        // epoch, so re-deferred next-stage work from the closures we
-        // just ran becomes ready on the following iteration.
+        // epoch, so work deferred by the closures we just ran becomes
+        // ready on the following iteration.
         for _ in 0..64 {
             let guard = pin();
             pool::seal_current_thread(&guard);

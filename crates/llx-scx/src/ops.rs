@@ -7,12 +7,16 @@
 //! | paper step        | site                                   |
 //! |-------------------|----------------------------------------|
 //! | freezing CAS      | `help`, the `compare_exchange` on `r.info` (line 26) |
-//! | frozen check step | `help`, the `all_frozen()` load (line 29) |
+//! | frozen check step | `help`, `all_frozen` (line 29)          |
 //! | abort step        | `help`, `set_state(Aborted)` (line 34)  |
-//! | frozen step       | `help`, `set_all_frozen()` (line 37)    |
+//! | frozen step       | `help`, `set_all_frozen` (line 37)      |
 //! | mark step         | `help`, `marked.store(true)` (line 38)  |
 //! | update CAS        | `help`, `compare_exchange` on `fld` (line 39) |
 //! | commit step       | `help`, `set_state(Committed)` (line 41)|
+//!
+//! SCX-records are not allocated: each thread reuses one descriptor
+//! (see the `header` module), and `help` works on a private
+//! [`ScxRecord`] copy of it.
 
 use crate::sync::Ordering;
 use std::fmt;
@@ -21,8 +25,7 @@ use std::marker::PhantomData;
 use crossbeam_epoch::Guard;
 
 use crate::handle::{Llx, LlxResult, ScxRequest};
-use crate::header::{ScxHeader, ScxState};
-use crate::reclaim;
+use crate::header::{self, ScxState};
 use crate::record::DataRecord;
 use crate::scx_record::ScxRecord;
 use crate::stats::{bump, Stats, StatsSnapshot};
@@ -30,9 +33,9 @@ use crate::stats::{bump, Stats, StatsSnapshot};
 /// A domain hosting Data-records with `M` mutable fields and immutable
 /// payload `I`, and providing the LLX/SCX/VLX operations on them.
 ///
-/// A domain is the unit of type-consistency: every `info` pointer inside
-/// its records refers to an SCX-record of the same `(M, I)` shape, which
-/// is what makes helping sound. One data structure instance owns one
+/// A domain fixes the record type, `(M, I)`. Helping is type-blind (an
+/// SCX names its records through their common head), so one thread's
+/// descriptor serves every domain. One data structure instance owns one
 /// domain (see the `multiset` and `trees` crates for worked examples).
 ///
 /// Domains are cheap; the only shared state is the optional stats block.
@@ -80,8 +83,8 @@ impl<const M: usize, I> Domain<M, I> {
     }
 
     /// Allocate a new Data-record with the given immutable payload and
-    /// initial mutable field values. The record's `info` field points at
-    /// the dummy SCX-record and its `marked` bit is false (paper Fig. 1).
+    /// initial mutable field values. The record's `info` field names the
+    /// dummy SCX-record and its `marked` bit is false (paper Fig. 1).
     ///
     /// The block comes from the calling thread's record pool (a block of
     /// the same layout retired earlier, else a stolen parked shard, else
@@ -91,7 +94,7 @@ impl<const M: usize, I> Domain<M, I> {
     /// published. It is **not** a `Box` allocation: `Box::from_raw` on
     /// it is undefined behaviour.
     pub fn alloc(&self, immutable: I, init: [u64; M]) -> *const DataRecord<M, I> {
-        crate::pool::alloc(DataRecord::new(immutable, init)).0
+        crate::pool::alloc(DataRecord::new(immutable, init))
     }
 
     /// Reclaim a record once the data structure has unlinked it, deferred
@@ -147,72 +150,44 @@ impl<const M: usize, I> Domain<M, I> {
     /// [`LlxResult::Finalized`] if `r` was finalized by a committed SCX,
     /// or [`LlxResult::Fail`] if the LLX was concurrent with an SCX
     /// involving `r` (retry in that case).
-    pub fn llx<'g>(&self, r: &'g DataRecord<M, I>, guard: &'g Guard) -> LlxResult<'g, M, I> {
-        bump!(self, llx_attempts);
-        let marked1 = r.marked.load(Ordering::SeqCst); // ord: SC (paper Fig. 4 line 3)
+    pub fn llx<'g>(&self, r: &'g DataRecord<M, I>, _guard: &'g Guard) -> LlxResult<'g, M, I> {
+        let st = self.stats.as_deref();
+        bump!(st, llx_attempts);
+        let marked1 = r.head.marked.load(Ordering::SeqCst); // ord: SC (paper Fig. 4 line 3)
         let rinfo = r.load_info(); // line 4
+        let state = header::state(rinfo); // line 5
+        let marked2 = r.head.marked.load(Ordering::SeqCst); // ord: SC (paper Fig. 4 line 6)
 
-        // SAFETY: `rinfo` was read from `r.info` under our pinned guard;
-        // SCX-record destruction is epoch-deferred (see `reclaim`).
-        let rinfo_hdr: &ScxHeader = unsafe { &*rinfo };
-        let state = rinfo_hdr.state(); // line 5
-        let marked2 = r.marked.load(Ordering::SeqCst); // ord: SC (paper Fig. 4 line 6)
-
-        // line 7: was r frozen at line 5?
+        // line 7: was r frozen at line 5? An SCX that has finished reads
+        // as committed, so `marked2` decides.
         if state == ScxState::Aborted || (state == ScxState::Committed && !marked2) {
-            #[cfg(debug_assertions)]
-            let gen_at_line5 = rinfo_hdr.gen;
             let mut values = [0u64; M];
             for (i, slot) in values.iter_mut().enumerate() {
-                *slot = r.mutable[i].load(Ordering::SeqCst); // line 8
+                *slot = r.mutable[i].load(Ordering::SeqCst); // ord: SC (paper Fig. 4 line 8)
             }
+            // line 9: info words never recur, so equality means no SCX
+            // froze r since line 4.
             if r.load_info() == rinfo {
-                // line 9. The address comparison stands in for the
-                // paper's GC assumption; assert (debug builds) that the
-                // pool's epoch delay kept the address from being
-                // recycled into a different SCX-record incarnation.
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    unsafe { (*rinfo).gen },
-                    gen_at_line5,
-                    "SCX-record address ABA: pooled block recycled under a pinned reader"
-                );
-                bump!(self, llx_snapshots);
+                bump!(st, llx_snapshots);
                 // line 10's local table is replaced by the returned handle.
                 return LlxResult::Snapshot(Llx {
                     record: r,
                     info: rinfo,
                     values,
-                    #[cfg(debug_assertions)]
-                    info_gen: gen_at_line5,
                 }); // line 11
             }
         }
 
-        // line 12
-        let finalized_part = match rinfo_hdr.state() {
-            ScxState::Committed => true,
-            ScxState::InProgress => {
-                // SAFETY: a non-dummy header (dummy is Aborted) of this
-                // domain's SCX-record type; protected by our guard.
-                let u = unsafe { ScxRecord::<M, I>::from_header(rinfo) };
-                self.help(u, guard)
-            }
-            ScxState::Aborted => false,
-        };
-        if finalized_part && marked1 {
-            bump!(self, llx_finalized);
+        // line 12: marked1 means rinfo is the SCX that finalized r, which
+        // committed however it reads.
+        if settle(st, rinfo) && marked1 {
+            bump!(st, llx_finalized);
             return LlxResult::Finalized; // line 13
         }
 
         // line 15
-        let cur = r.load_info();
-        // SAFETY: as above.
-        if unsafe { (*cur).state() } == ScxState::InProgress {
-            let u = unsafe { ScxRecord::<M, I>::from_header(cur) };
-            self.help(u, guard);
-        }
-        bump!(self, llx_fails);
+        settle(st, r.load_info());
+        bump!(st, llx_fails);
         LlxResult::Fail // line 16
     }
 
@@ -238,174 +213,148 @@ impl<const M: usize, I> Domain<M, I> {
     /// 2. Once the structure is quiescent, all `V` sequences passed to
     ///    subsequent SCXs must be consistent with one total order on
     ///    records (pass `V` in traversal order).
-    pub fn scx(&self, req: ScxRequest<'_, '_, M, I>, guard: &Guard) -> bool {
-        bump!(self, scx_attempts);
-        // lines 19–20: capture V, R, fld, old, new and the info values of
-        // the linked LLXs in a fresh SCX-record.
-        let v = crate::inline_vec::InlineVec::from_iter(
-            req.v.iter().map(|h| h.record as *const DataRecord<M, I>),
-        );
-        let info_fields = crate::inline_vec::InlineVec::from_iter(req.v.iter().map(|h| h.info));
-        // The new SCX-record makes the old SCX-records in `info_fields`
-        // reachable (its freezing CASes use their addresses as expected
-        // values), so it must hold a reference on each: otherwise a
-        // stalled helper's freezing CAS could run against a recycled
-        // address and succeed spuriously (see `reclaim` on why the
-        // `r.info` count alone is not the paper's reachability).
-        // Model-checker regression gate: dropping these holds reopens the
-        // PR-2 recycling ABA for the `llx_model_bugs` scenario suite.
-        #[cfg(not(llx_model_bugs))]
-        for h in info_fields.iter() {
-            reclaim::acquire_hold(h);
-        }
-        let target = &req.v[req.fld.record];
-        let old = target.values[req.fld.field];
-        let fld = &target.record.mutable[req.fld.field] as *const crate::sync::AtomicU64;
+    pub fn scx(&self, req: ScxRequest<'_, '_, M, I>, _guard: &Guard) -> bool {
+        header::with_own(|tid| self.scx_as(tid, req))
+    }
+
+    /// [`Domain::scx`] run in descriptor `tid`, which the caller owns.
+    pub(crate) fn scx_as(&self, tid: usize, req: ScxRequest<'_, '_, M, I>) -> bool {
+        let st = self.stats.as_deref();
+        bump!(st, scx_attempts);
         debug_assert_ne!(
-            old, req.new,
+            req.v[req.fld.record].values[req.fld.field], req.new,
             "SCX constraint: `new` must differ from the value read by the linked LLX"
         );
-
-        // line 21: create the SCX-record and do the real work in Help.
-        // Allocation goes through the per-thread record pool, which
-        // recycles blocks of retired records (see `pool`).
-        #[cfg(debug_assertions)]
-        crate::scx_record::LIVE_SCX_RECORDS.fetch_add(1, Ordering::SeqCst); // ord: debug live-record count; SC so tests can assert exactly
-        let u = crate::pool::alloc_scx(ScxRecord::<M, I> {
-            hdr: ScxHeader::new_in_progress(),
-            v,
-            finalize_mask: req.finalize_mask,
-            fld,
-            old,
-            new: req.new,
-            info_fields,
-            #[cfg(debug_assertions)]
-            info_gens: crate::inline_vec::InlineVec::from_iter(req.v.iter().map(|h| h.info_gen)),
-            #[cfg(debug_assertions)]
-            update_wins: crate::sync::AtomicU8::new(0),
-        });
-        // SAFETY: freshly allocated, uniquely reachable through `u`.
-        let u_ref = unsafe { &*u };
-        let result = self.help(u_ref, guard);
-        if result {
-            bump!(self, scx_commits);
-        } else {
-            bump!(self, scx_aborts);
+        let (last, state) = header::descriptor(tid).latest();
+        // A panic mid-SCX (a debug detector firing) can leave the last
+        // SCX in progress: finish it before its fields are rewritten.
+        if last > 0 && state == ScxState::InProgress {
+            settle(None, header::info_word(tid, last));
         }
-        // Release the creator's reference (see `reclaim`).
-        unsafe { reclaim::release::<M, I>(u as *const ScxHeader, guard) };
+        // lines 19–21: fill this thread's descriptor and publish it.
+        let u = ScxRecord::publish(tid, last + 1, &req);
+        let result = help(st, &u);
+        // The descriptor is rewritten only once its state word is final.
+        debug_assert_ne!(u.desc.state(u.seq), ScxState::InProgress);
+        if result {
+            bump!(st, scx_commits);
+        } else {
+            bump!(st, scx_aborts);
+        }
         result
     }
 
     /// **VLX(V)** — validate that no record in `V` changed since the
     /// linked LLXs (paper Fig. 4 lines 43–48). Costs `|V|` shared reads.
     pub fn vlx(&self, v: &[Llx<'_, M, I>]) -> bool {
-        bump!(self, vlx_attempts);
+        let st = self.stats.as_deref();
+        bump!(st, vlx_attempts);
         for h in v {
-            bump!(self, reads);
-            if !std::ptr::eq(h.record.load_info(), h.info) {
+            bump!(st, reads);
+            if h.record.load_info() != h.info {
                 return false; // line 47
             }
         }
-        bump!(self, vlx_successes);
+        bump!(st, vlx_successes);
         true // line 48
     }
+}
 
-    /// The cooperative `Help` routine (paper Fig. 4 lines 22–42). Called
-    /// by the creating SCX and by any process that encounters the
-    /// SCX-record `u` while it is `InProgress`.
-    fn help(&self, u: &ScxRecord<M, I>, guard: &Guard) -> bool {
-        bump!(self, helps);
-        let u_hdr = u.header_ptr();
-
-        // lines 24–35: freeze all Data-records in u.v in order.
-        for (i, r_ptr) in u.v.iter().enumerate() {
-            let rinfo = u.info_fields.get(i) as *mut ScxHeader; // line 25
-
-            // SAFETY: records in V were reachable at their linked LLXs
-            // and are protected by the caller's guard.
-            let r = unsafe { &*r_ptr };
-            bump!(self, freezing_cas);
-            // Pre-acquire a reference in case our freezing CAS installs
-            // `u` into `r.info` (see `reclaim` for the protocol).
-            reclaim::acquire(u_hdr);
-            match r
-                .info
-                .compare_exchange(rinfo, u_hdr, Ordering::SeqCst, Ordering::SeqCst) // ord: freezing CAS; SC per paper Fig. 4
-            {
-                Ok(displaced) => {
-                    // freezing CAS succeeded (line 26): `r` is frozen for
-                    // `u`; the displaced SCX-record loses the reference
-                    // held by `r.info`. The displaced record must be the
-                    // very one the linked LLX observed — a generation
-                    // mismatch would mean the CAS matched a recycled
-                    // address (the ABA the reclamation protocol excludes).
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        unsafe { (*displaced).gen },
-                        u.info_gens.get(i),
-                        "freezing CAS displaced a recycled SCX-record (address ABA)"
-                    );
-                    // SAFETY: `displaced` was reachable via `r.info`
-                    // until our CAS, under our pinned guard.
-                    unsafe { reclaim::release::<M, I>(displaced, guard) };
-                }
-                Err(cur) => {
-                    // Our CAS did not install `u`; return the reference.
-                    // SAFETY: `u` is protected by our guard.
-                    unsafe { reclaim::release::<M, I>(u_hdr, guard) };
-                    if cur != u_hdr {
-                        // line 27: r is frozen for another SCX.
-                        if u.hdr.all_frozen() {
-                            // frozen check step (line 29): every record
-                            // in V was already frozen for u and the SCX
-                            // has committed (Lemma 53).
-                            return true; // line 31
-                        }
-                        // abort step (line 34): atomically unfreeze all
-                        // records frozen for this SCX.
-                        bump!(self, state_writes);
-                        u.hdr.set_state(ScxState::Aborted);
-                        return false; // line 35
-                    }
-                    // cur == u: another helper already froze r for u;
-                    // proceed to the next record.
-                }
-            }
-        }
-
-        // frozen step (line 37): the SCX can no longer fail.
-        bump!(self, frozen_writes);
-        u.hdr.set_all_frozen();
-
-        // mark steps (line 38): finalize every r in R.
-        for (i, r_ptr) in u.v.iter().enumerate() {
-            if u.finalizes(i) {
-                bump!(self, mark_writes);
-                // SAFETY: as above.
-                unsafe { (*r_ptr).marked.store(true, Ordering::SeqCst) }; // ord: mark step; SC per paper Fig. 4
-            }
-        }
-
-        // update CAS (line 39): only the first one by any helper succeeds
-        // (Lemma 54) unless §4.1 is broken, which debug builds catch.
-        bump!(self, update_cas);
-        // SAFETY: `fld` points into a record in V, protected as above.
-        let won =
-            unsafe { (*u.fld).compare_exchange(u.old, u.new, Ordering::SeqCst, Ordering::SeqCst) }; // ord: field-update CAS; SC per paper Fig. 4
-        #[cfg(debug_assertions)]
-        if won.is_ok() && u.update_wins.fetch_add(1, Ordering::Relaxed) > 0 {
-            // ord: debug win count; RMW atomicity makes one of two winners see the other
-            let (fld, old, new) = (u.fld, u.old, u.new);
-            panic!("update CAS won twice (no-ABA broken): fld={fld:p} old={old:#x} new={new:#x}");
-        }
-        let _ = won;
-
-        // commit step (line 41): finalize all r in R, unfreeze the rest.
-        bump!(self, state_writes);
-        u.hdr.set_state(ScxState::Committed);
-        true // line 42
+/// Fig. 4 lines 12 and 15 for the SCX a non-dummy or dummy info word
+/// names: help it if it is in progress, and report whether it committed.
+/// An SCX that finished before it could be copied reads as committed.
+fn settle(st: Option<&Stats>, word: u64) -> bool {
+    if word == header::DUMMY {
+        return false;
     }
+    match ScxRecord::load(word) {
+        Ok(u) => help(st, &u),
+        Err(state) => state == ScxState::Committed,
+    }
+}
+
+/// A frozen step or commit/abort step: a write by the owner, a
+/// seq-guarded CAS by a helper.
+macro_rules! step {
+    ($st:expr, $u:expr, $write:ident) => {
+        if $u.owner {
+            bump!($st, $write);
+        } else {
+            bump!($st, helper_cas);
+        }
+    };
+}
+
+/// The cooperative `Help` routine (paper Fig. 4 lines 22–42). Run by the
+/// SCX's owner and by any process that finds the SCX in progress.
+fn help(st: Option<&Stats>, u: &ScxRecord) -> bool {
+    bump!(st, helps);
+
+    // lines 24–35: freeze all Data-records in u.v in order.
+    for (r, rinfo) in u.v() {
+        // SAFETY: records in V were reachable at their linked LLXs and
+        // are protected by the owner's and the caller's guards.
+        let r = unsafe { &*r };
+        bump!(st, freezing_cas);
+        // freezing CAS (line 26)
+        let cas = r
+            .info
+            .compare_exchange(rinfo, u.word, Ordering::SeqCst, Ordering::SeqCst); // ord: freezing CAS; SC per paper Fig. 4
+        match cas {
+            Ok(_) => {}
+            // cur == u: another helper already froze r for u.
+            Err(cur) if cur == u.word => {}
+            // line 27: r is frozen for another SCX.
+            Err(_) => {
+                // frozen check step (line 29): every record in V was
+                // already frozen for u and the SCX has committed
+                // (Lemma 53), or it has finished.
+                if u.desc.all_frozen(u.seq) {
+                    return true; // line 31
+                }
+                // abort step (line 34): atomically unfreeze all records
+                // frozen for this SCX.
+                step!(st, u, state_writes);
+                u.desc.set_state(u.seq, ScxState::Aborted, u.owner);
+                return false; // line 35
+            }
+        }
+    }
+
+    // frozen step (line 37): the SCX can no longer fail. A helper that
+    // finds it finished stops.
+    step!(st, u, frozen_writes);
+    if !u.desc.set_all_frozen(u.seq, u.owner) {
+        return true;
+    }
+
+    // mark steps (line 38): finalize every r in R.
+    for (i, (r, _)) in u.v().enumerate() {
+        if u.finalizes(i) {
+            bump!(st, mark_writes);
+            // SAFETY: as above.
+            unsafe { (*r).marked.store(true, Ordering::SeqCst) }; // ord: mark step; SC per paper Fig. 4
+        }
+    }
+
+    // update CAS (line 39): only the first one by any helper succeeds
+    // (Lemma 54) unless §4.1 is broken, which debug builds catch.
+    bump!(st, update_cas);
+    // SAFETY: `fld` points into a record in V, protected as above.
+    let won =
+        unsafe { (*u.fld).compare_exchange(u.old, u.new, Ordering::SeqCst, Ordering::SeqCst) }; // ord: field-update CAS; SC per paper Fig. 4
+    #[cfg(debug_assertions)]
+    if won.is_ok() && u.desc.last_won_seq.swap(u.seq, Ordering::SeqCst) == u.seq {
+        // ord: debug win detector; the swap's atomicity makes one of two winners see the other
+        let (fld, old, new) = (u.fld, u.old, u.new);
+        panic!("update CAS won twice (no-ABA broken): fld={fld:p} old={old:#x} new={new:#x}");
+    }
+    let _ = won;
+
+    // commit step (line 41): finalize all r in R, unfreeze the rest.
+    step!(st, u, state_writes);
+    u.desc.set_state(u.seq, ScxState::Committed, u.owner);
+    true // line 42
 }
 
 // A domain can be shared across threads: the algorithm synchronizes all
@@ -555,6 +504,31 @@ mod tests {
                     unsafe { d.retire(r, &g) };
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_scx_left_in_progress_is_finished_before_reuse() {
+        let d: Domain<1, u64> = Domain::new();
+        let g = crossbeam_epoch::pin();
+        let (a, b) = (d.alloc(0, [0]), d.alloc(1, [0]));
+        let tid = header::acquire();
+        let sa = d.llx(unsafe { &*a }, &g).snapshot().unwrap();
+        // An owner that panicked right after publishing, before any
+        // freezing CAS.
+        let (last, _) = header::descriptor(tid).latest();
+        ScxRecord::publish(
+            tid,
+            last + 1,
+            &ScxRequest::new(&[sa], FieldId::new(0, 0), 5),
+        );
+        let sb = d.llx(unsafe { &*b }, &g).snapshot().unwrap();
+        assert!(d.scx_as(tid, ScxRequest::new(&[sb], FieldId::new(0, 0), 6)));
+        assert_eq!(unsafe { [(*a).read(0), (*b).read(0)] }, [5, 6]);
+        header::release(tid);
+        unsafe {
+            d.retire(a, &g);
+            d.retire(b, &g);
         }
     }
 

@@ -1,20 +1,21 @@
-//! The per-thread record pool: one path for SCX-records and
-//! Data-records alike.
+//! The per-thread record pool: where retired Data-records wait out
+//! their epoch and their blocks are reused.
 //!
 //! The paper assumes a garbage collector; this module is where the
-//! reproduction pays for that assumption. Every SCX allocates one
-//! SCX-record and every update allocates and retires Data-records.
-//! Routing each dead record through its own `guard.defer_unchecked`
-//! closure and back to the allocator costs one heap-allocated closure,
-//! one entry on the epoch shim's mutex-guarded global queue and one
-//! `free` *per record*, and that `free` runs on whichever thread
-//! collects, which is usually not the thread whose glibc arena owns the
-//! chunk. This traffic dominated the primitive itself. The pool sits
-//! between the reclaimer and the allocator, as Brown's record manager
-//! does for this algorithm (DEBRA, "Reclaiming memory for lock-free
-//! data structures: there has to be a better way", PODC 2015).
+//! reproduction pays for that assumption. Every update allocates and
+//! retires Data-records. Routing each dead record through its own
+//! `guard.defer_unchecked` closure and back to the allocator costs one
+//! heap-allocated closure, one entry on the epoch shim's mutex-guarded
+//! global queue and one `free` *per record*, and that `free` runs on
+//! whichever thread collects, which is usually not the thread whose
+//! glibc arena owns the chunk. This traffic dominated the primitive
+//! itself. The pool sits between the reclaimer and the allocator, as
+//! Brown's record manager does for this algorithm (DEBRA, "Reclaiming
+//! memory for lock-free data structures: there has to be a better way",
+//! PODC 2015). SCX-records never come here: each thread reuses one
+//! descriptor (the `header` module).
 //!
-//! # Two record kinds, one path
+//! # One stage
 //!
 //! Blocks are untyped and keyed by [`Layout`]: the free lists, the
 //! outboxes and the parked shards all keep one entry per layout, so a
@@ -23,46 +24,26 @@
 //! block is irrelevant to whoever reuses it: a block is recycled only
 //! after its destruction epoch expired, so it is plain dead memory.
 //!
-//! * **Data-records** ([`alloc`], [`retire_data`], [`dealloc_data`])
-//!   take one stage. `retire` pushes the record onto the thread's
-//!   destruction list. When that epoch expires it is dropped in place
-//!   (its `info` release runs under the batch's pin) and its block is
-//!   recycled. `dealloc` (never published) drops in place and recycles
-//!   at once.
-//! * **SCX-records** ([`alloc_scx`]) take the two epoch-deferred
-//!   stages of the `reclaim` protocol:
-//!   1. *dependency stage*: when a record's install count (`cas_refs`)
-//!      hits zero it is pushed onto this thread's dependency list. When
-//!      the epoch expires, i.e. when every helper that could still
-//!      execute one of the record's freezing CASes has unpinned,
-//!      [`crate::reclaim::mature_deps`] releases the record's holds on
-//!      its `info_fields` predecessors.
-//!   2. *destruction stage*: when a record's total count (`refs`) hits
-//!      zero with dependencies released, it joins the same destruction
-//!      list Data-records use.
-//!
-//! Every [`LIMBO_BATCH`] entries of a list share *one*
-//! `defer_unchecked`. When the batch matures, each destroyed block is
+//! [`retire_data`] pushes the record onto the thread's destruction
+//! list; every [`LIMBO_BATCH`] entries share *one* `defer_unchecked`.
+//! When the batch matures each record is dropped in place and its block
 //! cached on the collecting thread's free list for its layout (or, past
-//! [`FREE_CAP`], handed to other threads; see below). Allocation pops
-//! from that free list and `ptr::write`s the fresh record into the
-//! block, skipping the allocator entirely.
+//! [`FREE_CAP`], handed to other threads; see below). [`dealloc_data`]
+//! (never published) drops in place and recycles at once. Allocation
+//! ([`alloc`]) pops from that free list and `ptr::write`s the fresh
+//! record into the block, skipping the allocator entirely.
 //!
-//! The epoch delays are **not** optional: reusing a record's address
-//! while any stale holder could still dereference or CAS-compare it
-//! would reintroduce the ABA on record addresses that the paper's
-//! garbage-collection assumption rules out (see `reclaim` for the two
-//! reachability paths of an SCX-record). Debug builds back this with a
-//! generation stamp on SCX-records, checked in `Domain::llx`, and a
-//! lifecycle byte on Data-records: a second `retire`/`dealloc` of one
-//! record panics at the second call instead of handing its block to two
-//! owners.
+//! The epoch delay is **not** optional: reusing a record's address while
+//! any stale holder could still dereference it is the use-after-free the
+//! paper's garbage-collection assumption rules out. Debug builds back
+//! this with a lifecycle byte on Data-records: a second
+//! `retire`/`dealloc` of one record panics at the second call instead of
+//! handing its block to two owners.
 //!
-//! Thread exit with partially filled batches parks the leftovers in a
+//! Thread exit with a partially filled batch parks the leftovers in a
 //! global orphan list; the next batch seal or
-//! [`crate::flush_reclamation`] adopts them with its caller's guard.
-//! This keeps the debug-build live-record ledger exact: every allocated
-//! record is eventually dropped exactly once.
+//! [`crate::flush_reclamation`] adopts them with its caller's guard, so
+//! every retired record is eventually dropped exactly once.
 //!
 //! # Cross-thread shard handoff
 //!
@@ -91,12 +72,9 @@
 //! medians) and kept because it wins; the off-switches and tuning
 //! knobs it used to carry won nothing and were deleted.
 //!
-//! * **free lists + batched defers for SCX-records** (vs one `Box` and
-//!   one defer per record): `mem-update` 548 k vs 398 k ops/s and p99
-//!   50 µs vs 97 µs; `mem-contend` 1.18 M vs 0.43 M ops/s — 1.4–2.8×,
-//!   ranges disjoint.
-//! * **the same for Data-records** (vs one boxed closure, one global
-//!   queue entry and one cross-thread `free` per node): the node path
+//! * **free lists + batched defers** (vs one boxed closure, one global
+//!   queue entry and one cross-thread `free` per node; measured first
+//!   for the SCX-records this pool used to hold, 1.4–2.8×): the node path
 //!   was the negative two-thread scaling of ROADMAP item 2. With
 //!   per-node frees, two threads did no more updates than one on a
 //!   65 536-key chromatic tree. `MALLOC_ARENA_MAX=1` made two threads
@@ -119,11 +97,9 @@ use std::sync::OnceLock;
 
 use crossbeam_epoch::Guard;
 
-use crate::reclaim;
 use crate::record::DataRecord;
-use crate::scx_record::ScxRecord;
 
-/// Number of records that trigger one batched defer, per stage.
+/// Number of retired records that trigger one batched defer.
 const LIMBO_BATCH: usize = 32;
 
 /// Maximum blocks cached per thread and layout; beyond this, matured
@@ -255,75 +231,31 @@ fn steal_shard(layout: Layout) -> Option<*mut u8> {
     Some(serve)
 }
 
-/// A record in one of the two epoch-deferred stages: the raw block plus
-/// the monomorphized action for its true record type.
+/// A retired record awaiting its epoch: the raw block plus the
+/// monomorphized drop for its true record type.
 struct Pending {
     ptr: *mut u8,
-    /// Dependency stage: `reclaim::mature_deps`. Destruction stage:
-    /// drop in place. Must only run after the stage's epoch expired.
-    /// Returns the block's layout if the block is now dead and
-    /// reusable.
-    act: unsafe fn(*mut u8, &Guard) -> Option<Layout>,
+    /// Drops the record in place and returns its block's layout. Must
+    /// only run after the record's epoch expired.
+    drop: unsafe fn(*mut u8) -> Layout,
 }
 
 // Pending blocks are plain memory plus a fn pointer; ownership moves
 // with the struct (into deferred closures and the orphan list).
 unsafe impl Send for Pending {}
 
-unsafe fn dep_shim<const M: usize, I>(p: *mut u8, guard: &Guard) -> Option<Layout> {
-    reclaim::mature_deps(p as *const ScxRecord<M, I>, guard);
-    None
-}
-
-unsafe fn drop_shim<const M: usize, I>(p: *mut u8, _guard: &Guard) -> Option<Layout> {
-    use crate::header::{RC_CLAIMED, RC_DEPS_RELEASED, RC_REFS_MASK};
-    use crate::sync::Ordering::SeqCst;
-    let rec = p as *mut ScxRecord<M, I>;
-    let h = &(*rec).hdr;
-    let mut cur = h.rc.load(SeqCst); // ord: SC packed-rc read; CAS below re-validates
-    while cur & RC_REFS_MASK != 0 {
-        // Between the claim (count == 0) and this maturation, a
-        // straggler with a stale LLX handle captured this record in a
-        // new SCX-record's `info_fields` (`acquire_hold` resurrects the
-        // count). Un-claim in ONE RMW and hand destruction to the
-        // hold's release: when the successor's dependency stage drives
-        // the count to zero, its decrement-and-claim re-stages
-        // destruction atomically (`release_common`). If that final
-        // decrement lands between our load and our CAS, the CAS fails
-        // — the releaser saw `claimed` still set and left disposal to
-        // us — and the retry loop observes the settled zero below.
-        debug_assert!(cur & RC_CLAIMED != 0, "staged record lost its claim");
-        match h
-            .rc
-            // ord: SC packed-rc RMW; un-claim hands ownership to the releaser
-            .compare_exchange_weak(cur, cur & !RC_CLAIMED, SeqCst, SeqCst)
-        {
-            Ok(_) => return None,
-            Err(now) => cur = now,
-        }
-    }
-    // Settled zero: whoever zeroed the count did so in an RMW that also
-    // decided (and lost) the claim, so no thread touches this header
-    // again — disposal cannot race a straggler's trailing access.
-    debug_assert!(cur & RC_CLAIMED != 0 && cur & RC_DEPS_RELEASED != 0);
-    std::ptr::drop_in_place(rec);
-    Some(Layout::new::<ScxRecord<M, I>>())
-}
-
-/// Destruction stage of a retired Data-record.
+/// Drop a retired Data-record whose epoch has expired.
 ///
 /// # Safety
 ///
 /// `p` must hold a `DataRecord<M, I>` staged by [`retire_data`] whose
 /// epoch has expired.
-unsafe fn drop_data<const M: usize, I>(p: *mut u8, _guard: &Guard) -> Option<Layout> {
+unsafe fn drop_data<const M: usize, I>(p: *mut u8) -> Layout {
     let rec = p as *mut DataRecord<M, I>;
     #[cfg(debug_assertions)]
     (*rec).assert_released();
-    // The record's `Drop` releases its `info` reference; its pin nests
-    // inside the batch's.
     std::ptr::drop_in_place(rec);
-    Some(Layout::new::<DataRecord<M, I>>())
+    Layout::new::<DataRecord<M, I>>()
 }
 
 /// A thread's free list and handoff outbox for one layout.
@@ -336,7 +268,6 @@ struct Lists {
 
 struct ThreadPool {
     lists: Keyed<Lists>,
-    deps: Vec<Pending>,
     destroy: Vec<Pending>,
 }
 
@@ -357,10 +288,8 @@ impl Drop for ThreadPool {
         // Staged blocks may still be visible to pinned peers and this
         // thread can no longer pin (its epoch slot is being torn down):
         // park them for the next thread that seals a batch.
-        let mut orphaned = std::mem::take(&mut self.deps);
-        orphaned.append(&mut self.destroy);
-        if !orphaned.is_empty() {
-            orphans().lock().unwrap().append(&mut orphaned);
+        if !self.destroy.is_empty() {
+            orphans().lock().unwrap().append(&mut self.destroy);
         }
     }
 }
@@ -369,7 +298,6 @@ thread_local! {
     static POOL: RefCell<ThreadPool> = const {
         RefCell::new(ThreadPool {
             lists: Vec::new(),
-            deps: Vec::new(),
             destroy: Vec::new(),
         })
     };
@@ -383,25 +311,24 @@ fn orphans() -> &'static Mutex<Vec<Pending>> {
 }
 
 /// Monotone counters for observability (`llx_scx::pool_stats`).
-/// `POOL_HITS` / `POOL_MISSES` count SCX-record allocations only;
-/// `POOL_DEFERS` counts every sealed batch, whichever record kinds it
-/// holds.
+/// `POOL_HITS` / `POOL_MISSES` count Data-record allocations;
+/// `POOL_DEFERS` counts sealed batches of retired records.
 pub(crate) static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static POOL_DEFERS: AtomicU64 = AtomicU64::new(0);
-/// Records/blocks moved across threads, of either kind: orphan
-/// adoptions (records staged by an exited thread, matured by another)
-/// plus blocks adopted through the shard handoff (the hot path in
-/// pipeline-shaped workloads — one thread retires, another allocates).
+/// Records/blocks moved across threads: orphan adoptions (records
+/// staged by an exited thread, matured by another) plus blocks adopted
+/// through the shard handoff (the hot path in pipeline-shaped
+/// workloads — one thread retires, another allocates).
 /// Surfaced in `StatsSnapshot` so the handoff rate is measurable per
 /// workload.
 pub(crate) static POOL_HANDOFFS: AtomicU64 = AtomicU64::new(0);
 
 /// Move `value` into a block of its layout — from the thread's free
 /// list when possible, else from a stolen parked shard, else from the
-/// global allocator. Returns the block and whether it was recycled.
-pub(crate) fn alloc<T>(value: T) -> (*mut T, bool) {
-    // Every record starts with an `info` pointer or an SCX header.
+/// global allocator — counting the hit or miss.
+pub(crate) fn alloc<T>(value: T) -> *mut T {
+    // Every record starts with its `info` word.
     const { assert!(size_of::<T>() != 0) };
     let layout = Layout::new::<T>();
     // Injected allocation miss: skip reuse entirely and pay the global
@@ -419,6 +346,12 @@ pub(crate) fn alloc<T>(value: T) -> (*mut T, bool) {
             // allocator.
             .or_else(|| steal_shard(layout))
     };
+    let counter = if reused.is_some() {
+        &POOL_HITS
+    } else {
+        &POOL_MISSES
+    };
+    counter.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
     let block = reused.unwrap_or_else(|| {
         // SAFETY: `layout` has non-zero size (asserted above).
         let p = unsafe { std::alloc::alloc(layout) };
@@ -432,98 +365,7 @@ pub(crate) fn alloc<T>(value: T) -> (*mut T, bool) {
     // or adopted from a parked shard, past its retirement epoch) and
     // has `T`'s layout.
     unsafe { std::ptr::write(p, value) };
-    (p, reused.is_some())
-}
-
-/// [`alloc`] for an SCX-record, counting the hit or miss.
-pub(crate) fn alloc_scx<const M: usize, I>(record: ScxRecord<M, I>) -> *mut ScxRecord<M, I> {
-    let (p, reused) = alloc(record);
-    let counter = if reused { &POOL_HITS } else { &POOL_MISSES };
-    counter.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
     p
-}
-
-/// Stage a pending entry on one of the thread's lists; seal a batch
-/// when full. Defers the entry on its own only if the thread-local is
-/// gone (teardown).
-fn stage(entry: Pending, pick: fn(&mut ThreadPool) -> &mut Vec<Pending>, guard: &Guard) {
-    let mut slot = Some(entry);
-    let sealed = POOL.try_with(|pool| {
-        let mut pool = pool.borrow_mut();
-        let list = pick(&mut pool);
-        list.push(slot.take().expect("entry staged at most once"));
-        if list.len() >= LIMBO_BATCH {
-            Some(std::mem::take(list))
-        } else {
-            None
-        }
-    });
-    match sealed {
-        Ok(None) => {}
-        Ok(Some(batch)) => {
-            defer_batch(batch, guard);
-            drain_orphans(guard);
-        }
-        // Thread-local already destroyed (staging during teardown of
-        // another TLS destructor): defer the entry individually.
-        Err(_) => {
-            if let Some(entry) = slot.take() {
-                defer_batch(vec![entry], guard);
-            }
-        }
-    }
-}
-
-/// Schedule stage 1 for `rec` (install count hit zero): one epoch from
-/// now, release its holds on its `info_fields` predecessors.
-///
-/// # Safety
-///
-/// `rec` must be a live `ScxRecord<M, I>` whose dependency stage is
-/// scheduled exactly once (guarded by `deps_scheduled`); the caller
-/// must hold the pinned `guard`.
-pub(crate) unsafe fn schedule_dep_release<const M: usize, I>(
-    rec: *mut ScxRecord<M, I>,
-    guard: &Guard,
-) {
-    stage(
-        Pending {
-            ptr: rec as *mut u8,
-            act: dep_shim::<M, I>,
-        },
-        |p| &mut p.deps,
-        guard,
-    );
-}
-
-/// Schedule stage 2 for `rec` (all references gone, dependencies
-/// released): one epoch from now, drop it and recycle its block.
-///
-/// # Safety
-///
-/// `rec` must be produced by [`alloc_scx`], claimed exactly once
-/// (guarded by `claimed`), and the caller must hold the pinned `guard`.
-pub(crate) unsafe fn retire_scx<const M: usize, I>(rec: *mut ScxRecord<M, I>, guard: &Guard) {
-    // Bug gate: destroy and recycle the block *immediately*, bypassing
-    // the epoch stage, so a stalled helper's stale SCX-record address
-    // can be reused under it — together with the skipped `info_fields`
-    // holds this is the PR-2 recycling ABA the model checker must find.
-    #[cfg(llx_model_bugs)]
-    {
-        let p = rec as *mut u8;
-        if let Some(layout) = drop_shim::<M, I>(p, guard) {
-            recycle(p, layout);
-        }
-    }
-    #[cfg(not(llx_model_bugs))]
-    stage(
-        Pending {
-            ptr: rec as *mut u8,
-            act: drop_shim::<M, I>,
-        },
-        |p| &mut p.destroy,
-        guard,
-    );
 }
 
 /// Stage an unlinked Data-record on the destruction list: one epoch
@@ -535,14 +377,26 @@ pub(crate) unsafe fn retire_scx<const M: usize, I>(rec: *mut ScxRecord<M, I>, gu
 pub(crate) unsafe fn retire_data<const M: usize, I>(rec: *mut DataRecord<M, I>, guard: &Guard) {
     #[cfg(debug_assertions)]
     (*rec).mark_released();
-    stage(
-        Pending {
-            ptr: rec as *mut u8,
-            act: drop_data::<M, I>,
-        },
-        |p| &mut p.destroy,
-        guard,
-    );
+    let mut slot = Some(Pending {
+        ptr: rec as *mut u8,
+        drop: drop_data::<M, I>,
+    });
+    let sealed = POOL.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let list = &mut pool.destroy;
+        list.push(slot.take().expect("entry staged at most once"));
+        (list.len() >= LIMBO_BATCH).then(|| std::mem::take(list))
+    });
+    match sealed {
+        Ok(None) => {}
+        Ok(Some(batch)) => {
+            defer_batch(batch, guard);
+            drain_orphans(guard);
+        }
+        // Thread-local already destroyed (retiring during teardown of
+        // another TLS destructor): defer the entry on its own.
+        Err(_) => defer_batch(slot.into_iter().collect(), guard),
+    }
 }
 
 /// Drop a never-published Data-record in place and recycle its block
@@ -558,43 +412,30 @@ pub(crate) unsafe fn dealloc_data<const M: usize, I>(rec: *mut DataRecord<M, I>)
     recycle(rec as *mut u8, Layout::new::<DataRecord<M, I>>());
 }
 
-/// Publish one batch; after the epoch expires, run each entry's action
-/// and recycle the blocks it leaves dead.
+/// Publish one batch; after the epoch expires, drop each record and
+/// recycle its block.
 fn defer_batch(batch: Vec<Pending>, guard: &Guard) {
     POOL_DEFERS.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
 
-    // SAFETY: each staged record passed its stage's zero-crossing (or,
-    // for a Data-record, was unlinked); by the time the closure runs,
-    // no thread pinned at defer time remains pinned, so no stale holder
-    // — via a structure pointer, `r.info` or a newer record's
-    // `info_fields` — can still act on these addresses.
+    // SAFETY: each staged record was unlinked before it was retired; by
+    // the time the closure runs, no thread pinned at defer time remains
+    // pinned, so no stale holder can still reach these addresses.
     unsafe {
         guard.defer_unchecked(move || {
-            let g = crossbeam_epoch::pin();
             for entry in batch {
-                if let Some(layout) = (entry.act)(entry.ptr, &g) {
-                    recycle(entry.ptr, layout);
-                }
+                recycle(entry.ptr, (entry.drop)(entry.ptr));
             }
         });
     }
 }
 
-/// Seal the current thread's partial batches (if any) with `guard`.
+/// Seal the current thread's partial batch (if any) with `guard`.
 pub(crate) fn seal_current_thread(guard: &Guard) {
-    let batches = POOL
-        .try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            (
-                std::mem::take(&mut pool.deps),
-                std::mem::take(&mut pool.destroy),
-            )
-        })
+    let batch = POOL
+        .try_with(|pool| std::mem::take(&mut pool.borrow_mut().destroy))
         .unwrap_or_default();
-    for batch in [batches.0, batches.1] {
-        if !batch.is_empty() {
-            defer_batch(batch, guard);
-        }
+    if !batch.is_empty() {
+        defer_batch(batch, guard);
     }
 }
 

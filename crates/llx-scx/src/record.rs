@@ -2,19 +2,29 @@
 
 #[cfg(debug_assertions)]
 use crate::sync::AtomicU8;
-use crate::sync::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use std::fmt;
 
-use crate::header::{ScxHeader, DUMMY};
-use crate::reclaim;
+use crate::header::DUMMY;
+
+/// The two fields the algorithm itself keeps in every Data-record (paper
+/// Fig. 1). It is the first field of every `DataRecord<M, I>`, so `Help`
+/// reaches the records of any SCX through it, whatever their type.
+#[derive(Debug)]
+pub(crate) struct Head {
+    /// The info word `(tid, seq)` of the last SCX that (tried to) freeze
+    /// the record; initially the dummy.
+    pub(crate) info: AtomicU64,
+    /// The finalization bit; set by a mark step, never cleared.
+    pub(crate) marked: AtomicBool,
+}
 
 /// A Data-record: the unit on which LLX/SCX/VLX operate.
 ///
 /// A `DataRecord<M, I>` has `M` mutable single-word fields (indexed
 /// `0..M`), an immutable payload of type `I`, and the two fields the
-/// algorithm itself needs: the `info` pointer to the SCX-record of the
-/// last SCX that froze this record, and the `marked` bit used to finalize
-/// it (paper Fig. 1).
+/// algorithm itself needs: the `info` word naming the last SCX that froze
+/// this record, and the `marked` bit used to finalize it (paper Fig. 1).
 ///
 /// Records are created through [`Domain::alloc`](crate::Domain::alloc)
 /// in blocks of the per-thread record pool and live behind raw pointers
@@ -25,21 +35,18 @@ use crate::reclaim;
 ///
 /// Mutable fields are plain 64-bit words; use [`pack_ptr`](crate::pack_ptr)
 /// / [`unpack_ptr`](crate::unpack_ptr) to store pointers to other records.
+#[repr(C)]
 pub struct DataRecord<const M: usize, I> {
-    /// Pointer to the SCX-record of the last SCX that (tried to) freeze
-    /// this record; initially the dummy SCX-record.
-    pub(crate) info: AtomicPtr<ScxHeader>,
-    /// The finalization bit; set by a mark step, never cleared.
-    pub(crate) marked: AtomicBool,
+    /// `info` and `marked`, first in the layout.
+    pub(crate) head: Head,
     /// The user's mutable fields (`m_1 .. m_y` in the paper).
     pub(crate) mutable: [AtomicU64; M],
     /// The user's immutable fields (`i_1 .. i_z` in the paper).
     pub(crate) immutable: I,
     /// Debug builds: lifecycle state, [`LIVE`] from creation until the
-    /// one `retire`/`dealloc` swaps it to [`RETIRED`] (the same pattern
-    /// as `ScxHeader::gen`). A pooled block never returns to the
-    /// allocator, so a second release of one record would otherwise go
-    /// unnoticed and hand the block to two owners.
+    /// one `retire`/`dealloc` swaps it to [`RETIRED`]. A pooled block
+    /// never returns to the allocator, so a second release of one record
+    /// would otherwise go unnoticed and hand the block to two owners.
     #[cfg(debug_assertions)]
     life: AtomicU8,
 }
@@ -54,8 +61,10 @@ const RETIRED: u8 = 2;
 impl<const M: usize, I> DataRecord<M, I> {
     pub(crate) fn new(immutable: I, init: [u64; M]) -> Self {
         DataRecord {
-            info: AtomicPtr::new(&DUMMY as *const ScxHeader as *mut ScxHeader),
-            marked: AtomicBool::new(false),
+            head: Head {
+                info: AtomicU64::new(DUMMY),
+                marked: AtomicBool::new(false),
+            },
             mutable: init.map(AtomicU64::new),
             immutable,
             #[cfg(debug_assertions)]
@@ -110,7 +119,7 @@ impl<const M: usize, I> DataRecord<M, I> {
     /// returning [`LlxResult::Finalized`](crate::LlxResult::Finalized).
     #[inline]
     pub fn is_marked(&self) -> bool {
-        self.marked.load(Ordering::SeqCst) // ord: SC marked read (paper Fig. 4)
+        self.head.marked.load(Ordering::SeqCst) // ord: SC marked read (paper Fig. 4)
     }
 
     /// Number of mutable fields, `M`.
@@ -120,20 +129,8 @@ impl<const M: usize, I> DataRecord<M, I> {
     }
 
     #[inline]
-    pub(crate) fn load_info(&self) -> *mut ScxHeader {
-        self.info.load(Ordering::SeqCst) // ord: SC info-pointer read (paper Fig. 4)
-    }
-}
-
-impl<const M: usize, I> Drop for DataRecord<M, I> {
-    fn drop(&mut self) {
-        // This record's `info` field holds one reference to an SCX-record
-        // (see `reclaim`); release it. `get_mut` is safe: we have `&mut`.
-        let info = *self.info.get_mut();
-        // SAFETY: `info` always points to the static dummy or to an
-        // SCX-record of the same `Domain<M, I>`, whose destruction is
-        // deferred until this reference is released.
-        unsafe { reclaim::release_from_record_drop::<M, I>(info) };
+    pub(crate) fn load_info(&self) -> u64 {
+        self.head.info.load(Ordering::SeqCst) // ord: SC info-word read (paper Fig. 4)
     }
 }
 
@@ -160,8 +157,7 @@ mod tests {
         assert_eq!(r.read(1), 2);
         assert_eq!(*r.immutable(), 7);
         assert_eq!(r.num_mutable_fields(), 2);
-        let info = r.load_info();
-        assert!(unsafe { (*info).is_dummy() });
+        assert_eq!(r.load_info(), DUMMY);
     }
 
     #[test]

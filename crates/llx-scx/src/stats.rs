@@ -30,13 +30,15 @@ pub(crate) struct Stats {
     pub(crate) mark_writes: AtomicU64,
     pub(crate) frozen_writes: AtomicU64,
     pub(crate) state_writes: AtomicU64,
+    pub(crate) helper_cas: AtomicU64,
     pub(crate) helps: AtomicU64,
     pub(crate) reads: AtomicU64,
 }
 
+/// Count one step on an `Option<&Stats>`.
 macro_rules! bump {
-    ($domain:expr, $field:ident) => {
-        if let Some(s) = $domain.stats.as_deref() {
+    ($stats:expr, $field:ident) => {
+        if let Some(s) = $stats {
             s.$field.fetch_add(1, $crate::sync::Ordering::Relaxed); // ord: stats counter; no sync role
         }
     };
@@ -66,6 +68,7 @@ impl Stats {
             mark_writes: ld(&self.mark_writes),
             frozen_writes: ld(&self.frozen_writes),
             state_writes: ld(&self.state_writes),
+            helper_cas: ld(&self.helper_cas),
             helps: ld(&self.helps),
             reads: ld(&self.reads),
         }
@@ -104,30 +107,38 @@ pub struct StatsSnapshot {
     pub update_cas: u64,
     /// Mark steps (Fig. 4 line 38) — writes to `marked` bits.
     pub mark_writes: u64,
-    /// Frozen steps (Fig. 4 line 37) — writes to `allFrozen` bits.
+    /// Frozen steps (Fig. 4 line 37) by the SCX's owner — writes to
+    /// `allFrozen`. A helper's count in `helper_cas`.
     pub frozen_writes: u64,
-    /// Commit and abort steps (Fig. 4 lines 34/41) — writes to `state`.
+    /// Commit and abort steps (Fig. 4 lines 34/41) by the SCX's owner —
+    /// writes to `state`. A helper's count in `helper_cas`.
     pub state_writes: u64,
+    /// Frozen, commit and abort steps taken by helpers: CASes on the
+    /// descriptor's seq-tagged words, so a late helper cannot touch the
+    /// owner's next SCX.
+    pub helper_cas: u64,
     /// Invocations of the `Help` routine.
     pub helps: u64,
     /// Shared-memory reads performed by VLX (Fig. 4 line 47).
     pub reads: u64,
-    /// SCX-record allocations served from a recycled block.
+    /// Data-record allocations served from a recycled block.
     ///
     /// The four `pool_*` counters mirror [`crate::pool_stats`]: they
     /// are **process-global** (the pool hands blocks between arbitrary
     /// domains), unlike the per-domain counters above, and are
     /// captured here so one snapshot carries both the algorithm's step
-    /// counts and the reclamation pool's efficacy.
+    /// counts and the reclamation pool's efficacy. SCX-records are
+    /// never allocated (each thread reuses one descriptor), so the pool
+    /// holds Data-records only.
     pub pool_hits: u64,
-    /// SCX-record allocations that fell through to the global
+    /// Data-record allocations that fell through to the global
     /// allocator.
     pub pool_misses: u64,
-    /// Epoch-deferred batches issued by the pool (SCX-records and
-    /// Data-records).
+    /// Epoch-deferred batches of retired Data-records issued by the
+    /// pool.
     pub pool_defers: u64,
-    /// Records and blocks of either kind handed across threads: orphan
-    /// adoptions plus shard steals.
+    /// Data-records and blocks handed across threads: orphan adoptions
+    /// plus shard steals.
     pub pool_handoffs: u64,
 }
 
@@ -155,6 +166,7 @@ impl StatsSnapshot {
             mark_writes: self.mark_writes - earlier.mark_writes,
             frozen_writes: self.frozen_writes - earlier.frozen_writes,
             state_writes: self.state_writes - earlier.state_writes,
+            helper_cas: self.helper_cas - earlier.helper_cas,
             helps: self.helps - earlier.helps,
             reads: self.reads - earlier.reads,
             pool_hits: pool.hits,
@@ -174,10 +186,11 @@ impl StatsSnapshot {
         }
     }
 
-    /// Total CAS steps attributable to the algorithm (freezing + update),
-    /// the quantity of the paper's `k + 1` claim.
+    /// Total CAS steps attributable to the algorithm: freezing, update
+    /// and helpers' seq-guarded steps. Without helping, the quantity of
+    /// the paper's `k + 1` claim.
     pub fn total_cas(&self) -> u64 {
-        self.freezing_cas + self.update_cas
+        self.freezing_cas + self.update_cas + self.helper_cas
     }
 
     /// Total plain writes attributable to the algorithm (frozen + mark +
@@ -216,11 +229,12 @@ mod tests {
         let r = domain.alloc((), [0]);
         let r_ref = unsafe { &*r };
         let scx = |v| {
+            // Every allocation is one pool hit or miss.
+            unsafe { domain.dealloc(domain.alloc((), [v])) };
             let s = [domain.llx(r_ref, &guard).snapshot().unwrap()];
             let req = crate::ScxRequest::new(&s, crate::FieldId::new(0, 0), v);
             assert!(domain.scx(req, &guard));
         };
-        // Every SCX allocates one SCX-record: one pool hit or miss.
         (1..=1000).for_each(scx);
         let before = domain.stats().unwrap();
         assert!(before.pool_hits + before.pool_misses >= 1000);

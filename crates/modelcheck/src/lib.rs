@@ -289,7 +289,10 @@ fn yield_point(tid: usize) {
         g.granted[tid] = false;
     }
     drop(g);
-    if abort {
+    // A thread already unwinding from the abort runs its destructors'
+    // operations unscheduled: a second panic there would abort the
+    // process.
+    if abort && !std::thread::panicking() {
         panic::panic_any(ModelAbort);
     }
 }
@@ -318,7 +321,10 @@ fn block_on_mutex(tid: usize, addr: usize) {
         g.granted[tid] = false;
     }
     drop(g);
-    if abort {
+    // A thread already unwinding from the abort runs its destructors'
+    // operations unscheduled: a second panic there would abort the
+    // process.
+    if abort && !std::thread::panicking() {
         panic::panic_any(ModelAbort);
     }
 }

@@ -1,21 +1,14 @@
 //! Cross-structure stress through the `ConcurrentOrderedSet` trait,
-//! plus the SCX-record balance check for the reclamation pool.
-//!
-//! Lives in its own test binary because the balance test compares a
-//! process-global counter before and after the workload; the tests
-//! serialize on a mutex so in-binary test parallelism (one thread per
-//! core by default) cannot race it, and the balance test additionally
-//! drains to a clean baseline first.
+//! plus the SCX descriptor bound after it.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use conc_set::stress;
 use workloads::{KeyDist, Mix};
 
-/// Serializes the tests in this binary: they all create SCX-records,
-/// and the balance test compares the process-global live-record count.
-static SERIAL: Mutex<()> = Mutex::new(());
+/// Threads of this binary that can hold an SCX descriptor at once: five
+/// tests, each a test thread plus four stress workers.
+const PEAK_THREADS: usize = 5 * (1 + 4);
 
 fn stress_millis(default_ms: u64) -> Duration {
     workloads::knobs::env_millis("LLX_STRESS_MILLIS", default_ms)
@@ -28,7 +21,6 @@ fn stress_millis(default_ms: u64) -> Duration {
 /// structure's snapshot-retry machinery *during* the churn.
 #[test]
 fn every_structure_balances_under_stress() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for spec in conc_set::selected_specs() {
         let set = spec.build();
         let pre = stress::prefill(&*set, 32);
@@ -66,10 +58,9 @@ fn every_structure_balances_under_stress() {
 /// tiling, in-window ascent/bounds, budget, positive counts — plus the
 /// third quiescent law (full-range windowed scan = `len()`). CI's
 /// `scanwin` stage runs this leg long in release and again in debug so
-/// the generation-stamp ABA detectors soak the cursor paths.
+/// the debug-only detectors soak the cursor paths.
 #[test]
 fn every_structure_balances_under_windowed_scans() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let window = match workloads::knobs::scan_window() {
         0 => 4,
         w => w,
@@ -114,10 +105,9 @@ fn every_structure_balances_under_windowed_scans() {
 
 /// The Zipf-skewed variant hammers a few hot keys, maximizing SCX
 /// conflicts, helping and the remove/reinsert churn that feeds the
-/// SCX-record pool.
+/// record pool.
 #[test]
 fn skewed_stress_balances() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for spec in conc_set::selected_specs() {
         let set = spec.build();
         let report = stress::run(
@@ -148,7 +138,6 @@ fn skewed_stress_balances() {
 /// every shard's own invariants validate.
 #[test]
 fn sharded_combinations_balance_under_stress() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for backend in ["scx-multiset", "patricia", "chromatic"] {
         for shards in [1usize, 2, 8] {
             let spec = conc_set::StructureSpec::parse(&format!("sharded({backend},{shards})"))
@@ -182,17 +171,13 @@ fn sharded_combinations_balance_under_stress() {
     }
 }
 
-/// SCX-record pool balance: after stressing every LLX/SCX structure
-/// through the trait and dropping them, `llx_scx::live_scx_records()`
-/// returns to its baseline once reclamation is flushed — no record is
-/// leaked by the pool's limbo/free-list stages and none is freed twice
-/// (the debug drop asserts catch that side).
+/// Stressing every LLX/SCX structure through the trait grows the SCX
+/// descriptor table by at most one slot per thread that can hold one
+/// at once, however many SCXs run; reclamation then flushes cleanly
+/// (the debug lifecycle check catches a record freed twice).
 #[test]
 fn scx_record_pool_drains_after_generic_stress() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Clean baseline: adopt any residue from other tests' threads.
-    llx_scx::flush_reclamation();
-    let baseline = llx_scx::live_scx_records();
+    let baseline = llx_scx::scx_descriptors();
     let scx_structures = ["scx-multiset", "chromatic", "bst", "patricia"];
     for spec in conc_set::selected_specs() {
         // Base-name match so `sharded(patricia,4)` also takes this leg:
@@ -219,18 +204,11 @@ fn scx_record_pool_drains_after_generic_stress() {
         // queue, releasing the final SCX-record references.
     }
     llx_scx::flush_reclamation();
-    for _ in 0..256 {
-        crossbeam_epoch::pin().flush();
-    }
-    llx_scx::flush_reclamation();
-    if let (Some(before), Some(after)) = (baseline, llx_scx::live_scx_records()) {
-        assert_eq!(
-            after,
-            before,
-            "SCX-records leaked through the pool (pool stats: {:?})",
-            llx_scx::pool_stats()
-        );
-    }
+    let grown = llx_scx::scx_descriptors() - baseline;
+    assert!(
+        grown <= PEAK_THREADS,
+        "{grown} SCX descriptors created for at most {PEAK_THREADS} threads"
+    );
     // The pool actually engaged.
     let stats = llx_scx::pool_stats();
     assert!(

@@ -10,10 +10,12 @@
 //!
 //! * **Fixed semantics** (`not(llx_model_bugs)`): every schedule up to the
 //!   bound must pass — the exhaustive counterpart of the soak tests.
-//! * **Regression** (`llx_model_bugs`): the two PR-2 seed races are
-//!   re-introduced by cfg gates in `llx-scx`/the epoch shim, and the
-//!   explorer must find each one *deterministically* — same failing
-//!   schedule on every run — within the default bound.
+//! * **Regression** (`llx_model_bugs`): three races are re-introduced by
+//!   cfg gates — in `llx-scx`, an info word without its `seq` (gate A)
+//!   and a helper that skips its re-check after copying a descriptor
+//!   (gate B); in the epoch shim, the collect TOCTOU — and the explorer
+//!   must find each one *deterministically* — same failing schedule on
+//!   every run — within its bound.
 //!
 //! Scenario hygiene: each execution's factory runs on the (uninstrumented)
 //! controller thread and starts by draining process-global state —
@@ -164,64 +166,30 @@ fn llx_vlx_scx() -> Execution {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 3: pool recycle across a stalled helper (the PR-2 ABA shape)
+// Kernel 3: a stale freezing CAS against a reinstalled info word (the
+// recycling ABA shape)
 // ---------------------------------------------------------------------------
 
-/// T0 runs a two-record SCX over `[a, b]` and can stall between its two
-/// freezing CASes, holding `b`'s old SCX-record address as an expected
-/// value. T1 meanwhile displaces that SCX-record twice; with the
-/// reclamation bug gates on (`llx_model_bugs`), the displaced record is
-/// destroyed and its block recycled *immediately*, so T1's second SCX can
-/// reinstall the same address and T0's stale freezing CAS succeeds
-/// spuriously — caught by the generation-stamp debug assert in `help`.
-/// With the real two-stage refcount protocol the address cannot be
-/// recycled while T0 can still reach it, so every schedule passes.
-fn pool_recycle() -> Execution {
+/// T1 runs two SCXs on `b` (`b := 2`, then `b := 3`), so its descriptor
+/// installs an info word in `b.info` twice. T0 LLXes `a` and `b`, then
+/// SCXes `a := b + 10` with `R = ⟨b⟩`, and can stall between its LLXs
+/// and its freezing CASes. If T0 commits, `b` was unchanged from T0's
+/// LLX until it was finalized (T1 cannot change it after), so
+/// `a = b + 10` at the end. With gate A
+/// (`llx_model_bugs`) the info word carries no `seq`: T1's second SCX
+/// reinstalls the word T0 expects, T0's stale freezing CAS on `b`
+/// succeeds, and `a` is computed from a value `b` no longer holds.
+fn scx_recycling() -> Execution {
     reset_world();
     let dom: Arc<Domain<1, ()>> = Arc::new(Domain::new());
     let a = Ptr(dom.alloc((), [0]));
     let b = Ptr(dom.alloc((), [0]));
-    {
-        // Give `b` a real (non-dummy) predecessor SCX-record, installed
-        // uninstrumented: the recycling race needs a freeing CAS whose
-        // expected value is a reclaimable record address.
-        let guard = llx_scx::pin();
-        let rb = unsafe { b.get() };
-        let sb = dom
-            .llx(rb, &guard)
-            .snapshot()
-            .expect("uncontended LLX cannot fail");
-        assert!(dom.scx(ScxRequest::new(&[sb], FieldId::new(0, 0), 1), &guard));
-    }
     let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     {
         let dom = dom.clone();
         threads.push(Box::new(move || {
             let guard = llx_scx::pin();
-            let (ra, rb) = unsafe { (a.get(), b.get()) };
-            for _ in 0..16 {
-                let Some(sa) = dom.llx(ra, &guard).snapshot() else {
-                    continue;
-                };
-                let Some(sb) = dom.llx(rb, &guard).snapshot() else {
-                    continue;
-                };
-                // Freezes a first, then b: the window between the two
-                // freezing CASes is where the helper "stalls".
-                if dom.scx(ScxRequest::new(&[sa, sb], FieldId::new(0, 0), 7), &guard) {
-                    return;
-                }
-            }
-        }));
-    }
-    {
-        let dom = dom.clone();
-        threads.push(Box::new(move || {
-            let guard = llx_scx::pin();
             let rb = unsafe { b.get() };
-            // Two displacing SCXs on b: the first retires b's old
-            // SCX-record, the second re-allocates (with the bug gates:
-            // recycles) a block for the new one.
             for val in [2u64, 3u64] {
                 for _ in 0..16 {
                     let Some(sb) = dom.llx(rb, &guard).snapshot() else {
@@ -234,14 +202,38 @@ fn pool_recycle() -> Execution {
             }
         }));
     }
+    {
+        let dom = dom.clone();
+        threads.push(Box::new(move || {
+            let guard = llx_scx::pin();
+            let (ra, rb) = unsafe { (a.get(), b.get()) };
+            for _ in 0..16 {
+                let Some(sa) = dom.llx(ra, &guard).snapshot() else {
+                    continue;
+                };
+                let Some(sb) = dom.llx(rb, &guard).snapshot() else {
+                    continue;
+                };
+                let v = [sa, sb];
+                let req = ScxRequest::new(&v, FieldId::new(0, 0), sb.value(0) + 10);
+                if dom.scx(req.finalize(1), &guard) {
+                    return;
+                }
+            }
+        }));
+    }
     Execution::new(threads).with_check(move || {
         let guard = llx_scx::pin();
-        let vb = unsafe { b.get() }.read(0);
+        let (ra, rb) = unsafe { (a.get(), b.get()) };
+        let (va, vb, finalized) = (ra.read(0), rb.read(0), rb.is_marked());
         drop(guard);
-        assert!(
-            vb == 2 || vb == 3 || vb == 7,
-            "b = {vb}: committed SCX wrote none of the candidate values"
-        );
+        if finalized {
+            // T0 committed, after T1's first SCX, its second, or neither.
+            assert!(matches!(vb, 0 | 2 | 3), "b = {vb}");
+            assert_eq!(va, vb + 10, "a = {va} from a stale snapshot of b = {vb}");
+        } else {
+            assert_eq!((va, vb), (0, 3), "T0 gave up, so only T1's SCXs landed");
+        }
     })
 }
 
@@ -309,212 +301,6 @@ fn pin_collect() -> Execution {
         let _ = crossbeam_epoch::collect_now();
     }));
     Execution::new(threads)
-}
-
-// ---------------------------------------------------------------------------
-// Kernel 6: stage-2 destroy-claim handshake vs a pending drop_shim
-// (the PR-9 recycling UAF shape)
-// ---------------------------------------------------------------------------
-
-/// Bit layout of the packed stage-2 word, mirroring
-/// `llx_scx::header::{RC_CLAIMED, RC_DEPS_RELEASED, RC_REFS_MASK}`.
-const K6_CLAIMED: usize = 1 << (usize::BITS - 1);
-const K6_DEPS: usize = 1 << (usize::BITS - 2);
-const K6_REFS: usize = K6_DEPS - 1;
-
-/// Shared state for the stage-2 handshake kernels: the header of a dead
-/// SCX-record `u` that was claimed and staged for destruction, then had
-/// its count resurrected to 1 by a successor's `info_fields` hold.
-/// T0 models the successor's dependency stage releasing that final hold
-/// (`release_common`); T1 models `drop_shim` running at the end of `u`'s
-/// destruction epoch. Disposal is modeled as an immediate recycle of the
-/// block into a live successor record (the pool's worst case: a freed
-/// block round-trips to a peer's `alloc` within the same epoch), with
-/// the fresh-header stores standing in for the allocator's unordered
-/// `ptr::write`. The invariant under test:
-/// once the block is recycled, no straggler of dead `u` may ever claim
-/// (= retire) the live record occupying it, and exactly one party must
-/// end up owning destruction.
-struct K6 {
-    /// Packed word (fixed shape) — refs | deps_released | claimed.
-    rc: modelcheck::sync::AtomicUsize,
-    /// Split fields (pre-fix shape; exercised only by the regression
-    /// kernel under `llx_model_bugs`).
-    #[cfg_attr(not(llx_model_bugs), allow(dead_code))]
-    refs: modelcheck::sync::AtomicUsize,
-    #[cfg_attr(not(llx_model_bugs), allow(dead_code))]
-    deps_released: modelcheck::sync::AtomicBool,
-    #[cfg_attr(not(llx_model_bugs), allow(dead_code))]
-    claimed: modelcheck::sync::AtomicBool,
-    /// Bookkeeping (uninstrumented): block recycled into live successor.
-    live2: StdAtomicBool,
-    /// Bookkeeping: a straggler of `u` retired the live successor.
-    spurious: StdAtomicBool,
-    /// Bookkeeping: destruction was legitimately re-staged for `u`.
-    restaged: StdAtomicBool,
-}
-
-use std::sync::atomic::AtomicBool as StdAtomicBool;
-
-impl K6 {
-    fn new() -> &'static K6 {
-        use modelcheck::sync as ms;
-        Box::leak(Box::new(K6 {
-            rc: ms::AtomicUsize::new(1 | K6_DEPS | K6_CLAIMED),
-            refs: ms::AtomicUsize::new(1),
-            deps_released: ms::AtomicBool::new(true),
-            claimed: ms::AtomicBool::new(true),
-            live2: StdAtomicBool::new(false),
-            spurious: StdAtomicBool::new(false),
-            restaged: StdAtomicBool::new(false),
-        }))
-    }
-
-    /// A claim decision on this address after the block was recycled
-    /// retires the *live successor*, not `u`.
-    fn claim_won(&self) {
-        if self.live2.load(O::SeqCst) {
-            self.spurious.store(true, O::SeqCst);
-        } else {
-            self.restaged.store(true, O::SeqCst);
-        }
-    }
-}
-
-/// Fixed shape: the packed single-word protocol of `reclaim.rs` /
-/// `pool.rs` — a releaser's decrement and destroy-claim commit in one
-/// RMW, and `drop_shim` either observes a settled zero (dispose) or
-/// un-claims in one RMW (hand ownership to the pending release). Every
-/// schedule must keep the recycled block unmolested.
-fn stage2_handshake() -> Execution {
-    use modelcheck::sync::Ordering as MO;
-    reset_world();
-    let k = K6::new();
-    let threads: Vec<Box<dyn FnOnce() + Send>> = vec![
-        // T0: release_common — the final hold's release.
-        Box::new(move || {
-            let mut cur = k.rc.load(MO::SeqCst);
-            loop {
-                let mut next = cur - 1;
-                let claim = next & K6_REFS == 0 && next & K6_DEPS != 0 && next & K6_CLAIMED == 0;
-                if claim {
-                    next |= K6_CLAIMED;
-                }
-                match k
-                    .rc
-                    .compare_exchange_weak(cur, next, MO::SeqCst, MO::SeqCst)
-                {
-                    Ok(_) => {
-                        if claim {
-                            k.claim_won();
-                        }
-                        return;
-                    }
-                    Err(now) => cur = now,
-                }
-            }
-        }),
-        // T1: drop_shim at the end of u's destruction epoch.
-        Box::new(move || {
-            let mut cur = k.rc.load(MO::SeqCst);
-            loop {
-                if cur & K6_REFS == 0 {
-                    // Settled zero: dispose, block recycles into a live
-                    // successor (fresh header = one word store).
-                    k.live2.store(true, O::SeqCst);
-                    k.rc.store(1, MO::SeqCst);
-                    return;
-                }
-                match k
-                    .rc
-                    .compare_exchange_weak(cur, cur & !K6_CLAIMED, MO::SeqCst, MO::SeqCst)
-                {
-                    Ok(_) => return,
-                    Err(now) => cur = now,
-                }
-            }
-        }),
-    ];
-    Execution::new(threads).with_check(move || {
-        assert!(
-            !k.spurious.load(O::SeqCst),
-            "a straggler of the dead record retired the live successor in its recycled block"
-        );
-        use modelcheck::sync::Ordering as MO;
-        if k.live2.load(O::SeqCst) {
-            assert!(
-                !k.restaged.load(O::SeqCst),
-                "double ownership: disposed AND re-staged"
-            );
-            assert_eq!(
-                k.rc.load(MO::SeqCst),
-                1,
-                "straggler corrupted the recycled successor's header"
-            );
-        } else {
-            assert!(
-                k.restaged.load(O::SeqCst),
-                "nobody ended up owning destruction (record orphaned)"
-            );
-        }
-    })
-}
-
-/// Pre-fix shape (regression target): `refs`, `deps_released` and
-/// `claimed` as three separate atomics. The final releaser evaluates
-/// `fetch_sub == 1 && deps_released.load() && !claimed.swap(true)` —
-/// two header touches *after* the decrement — while `drop_shim`
-/// disposes the moment it owns the claim. Some schedule recycles the
-/// block between the straggler's decrement and its trailing touches,
-/// and the stale `claimed` swap retires the live successor.
-#[cfg(llx_model_bugs)]
-fn stage2_handshake_prefix() -> Execution {
-    use modelcheck::sync::Ordering as MO;
-    reset_world();
-    let k = K6::new();
-    // Models the block being reused by a peer's alloc immediately after
-    // dispose: an unordered ptr::write of a fresh header.
-    let recycle = move || {
-        k.live2.store(true, O::SeqCst);
-        k.claimed.store(false, MO::SeqCst);
-        k.refs.store(1, MO::SeqCst);
-        k.deps_released.store(false, MO::SeqCst);
-    };
-    let threads: Vec<Box<dyn FnOnce() + Send>> = vec![
-        // T0: pre-fix release_common.
-        Box::new(move || {
-            if k.refs.fetch_sub(1, MO::SeqCst) == 1
-                && k.deps_released.load(MO::SeqCst)
-                && !k.claimed.swap(true, MO::SeqCst)
-            {
-                k.claim_won();
-            }
-        }),
-        // T1: pre-fix drop_shim (re-arm, then dispose inline on winning
-        // the claim back).
-        Box::new(move || {
-            if k.refs.load(MO::SeqCst) != 0 {
-                k.claimed.store(false, MO::SeqCst);
-                if k.refs.load(MO::SeqCst) != 0 || k.claimed.swap(true, MO::SeqCst) {
-                    return;
-                }
-            }
-            recycle();
-        }),
-    ];
-    Execution::new(threads).with_check(move || {
-        assert!(
-            !k.spurious.load(O::SeqCst),
-            "a straggler of the dead record retired the live successor in its recycled block"
-        );
-        use modelcheck::sync::Ordering as MO;
-        if k.live2.load(O::SeqCst) {
-            assert!(
-                !k.claimed.load(MO::SeqCst),
-                "straggler corrupted the recycled successor's claimed flag"
-            );
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -640,25 +426,97 @@ fn splice_promote(copy_sibling: bool) -> Execution {
     })
 }
 
-/// Explorer pinned at bound >= 2: the regression tests must find their
-/// races even when a quick run exports `LLX_MODEL_BOUND=1`.
-fn detector() -> Explorer {
+// ---------------------------------------------------------------------------
+// Kernel 8: a helper copying a descriptor while its owner reuses it
+// ---------------------------------------------------------------------------
+
+/// T0 runs two SCXs in its one descriptor: `a := 1` with `V = ⟨a⟩`, then
+/// an increment of `b` with `V = ⟨b⟩`, retried until it commits. T1
+/// LLXes `a` once, helping T0's first SCX if it finds it in progress,
+/// and can stall while it copies T0's descriptor, across T0 finishing
+/// that SCX and writing the next one's fields. The re-check after the
+/// copy sends T1 away then. With gate B (`llx_model_bugs`) T1 helps the
+/// first SCX with the second's fields: `b` is incremented for an SCX
+/// that then aborts, and T0's retry increments it again. Reaching that
+/// takes three preemptions (T0 mid-SCX, T1 mid-copy, T0 before it
+/// publishes), so the regression test explores at bound 3.
+fn descriptor_reuse() -> Execution {
+    reset_world();
+    let dom: Arc<Domain<1, ()>> = Arc::new(Domain::new());
+    let a = Ptr(dom.alloc((), [0]));
+    let b = Ptr(dom.alloc((), [0]));
+    let commits: Arc<StdAtomicUsize> = Arc::new(StdAtomicUsize::new(0));
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    {
+        let dom = dom.clone();
+        let commits = commits.clone();
+        threads.push(Box::new(move || {
+            let guard = llx_scx::pin();
+            let (ra, rb) = unsafe { (a.get(), b.get()) };
+            for _ in 0..16 {
+                let Some(sa) = dom.llx(ra, &guard).snapshot() else {
+                    continue;
+                };
+                if dom.scx(ScxRequest::new(&[sa], FieldId::new(0, 0), 1), &guard) {
+                    break;
+                }
+            }
+            for _ in 0..16 {
+                let Some(sb) = dom.llx(rb, &guard).snapshot() else {
+                    continue;
+                };
+                let v = [sb];
+                if dom.scx(
+                    ScxRequest::new(&v, FieldId::new(0, 0), sb.value(0) + 1),
+                    &guard,
+                ) {
+                    commits.fetch_add(1, O::SeqCst);
+                    return;
+                }
+            }
+        }));
+    }
+    {
+        let dom = dom.clone();
+        threads.push(Box::new(move || {
+            let guard = llx_scx::pin();
+            let _ = dom.llx(unsafe { a.get() }, &guard);
+        }));
+    }
+    Execution::new(threads).with_check(move || {
+        let guard = llx_scx::pin();
+        let (va, vb) = unsafe { (a.get().read(0), b.get().read(0)) };
+        drop(guard);
+        let commits = commits.load(O::SeqCst) as u64;
+        assert_eq!(va, 1, "a = {va}: T0's first SCX did not land once");
+        assert_eq!(vb, commits, "b = {vb} after {commits} committed increments");
+    })
+}
+
+/// Explorer pinned at bound >= `min`: the regression tests must find
+/// their races even when a quick run exports `LLX_MODEL_BOUND=1`.
+fn detector(min: usize) -> Explorer {
     let mut ex = Explorer::from_env();
-    ex.bound = ex.bound.max(2);
+    ex.bound = ex.bound.max(min);
     ex
 }
 
-/// Explore `factory` twice with [`detector`]; assert a failure is found,
-/// on the same schedule both times, and return its message.
-fn find_deterministically<F: FnMut() -> Execution + Copy>(name: &str, factory: F) -> String {
-    let first = detector().explore(name, factory);
+/// Explore `factory` twice with [`detector`]`(min_bound)`; assert a
+/// failure is found, on the same schedule both times, and return its
+/// message.
+fn find_deterministically<F: FnMut() -> Execution + Copy>(
+    name: &str,
+    min_bound: usize,
+    factory: F,
+) -> String {
+    let first = detector(min_bound).explore(name, factory);
     assert!(
         !first.failures.is_empty(),
         "{name}: bound {} explored {} schedules without a failure",
-        detector().bound,
+        detector(min_bound).bound,
         first.schedules
     );
-    let again = detector().explore(name, factory);
+    let again = detector(min_bound).explore(name, factory);
     assert_eq!(
         first.failures[0].schedule, again.failures[0].schedule,
         "detection must be deterministic, not probabilistic"
@@ -699,10 +557,10 @@ mod fixed {
     }
 
     #[test]
-    fn pool_recycle_exhaustive() {
-        let r = Explorer::from_env().check("pool_recycle", pool_recycle);
+    fn scx_recycling_exhaustive() {
+        let r = Explorer::from_env().check("scx_recycling", scx_recycling);
         println!(
-            "pool_recycle: {} schedules, {} abandoned",
+            "scx_recycling: {} schedules, {} abandoned",
             r.schedules, r.abandoned
         );
     }
@@ -728,7 +586,7 @@ mod fixed {
     /// Kernel 7 with the sibling copied: clean under every schedule.
     #[test]
     fn splice_promote_copied_exhaustive() {
-        let r = detector().check("splice_promote[copy]", || splice_promote(true));
+        let r = detector(2).check("splice_promote[copy]", || splice_promote(true));
         println!(
             "splice_promote[copy]: {} schedules, {} abandoned",
             r.schedules, r.abandoned
@@ -742,36 +600,44 @@ mod fixed {
     #[test]
     #[cfg(debug_assertions)]
     fn finds_uncopied_promotion_aba() {
-        let msg = find_deterministically("splice_promote[uncopied]", || splice_promote(false));
+        let msg = find_deterministically("splice_promote[uncopied]", 2, || splice_promote(false));
         assert!(msg.contains("update CAS won twice"), "{msg}");
     }
 
+    /// At bound 3 at least: gate B's race needs three preemptions.
     #[test]
-    fn stage2_handshake_exhaustive() {
-        let r = Explorer::from_env().check("stage2_handshake", stage2_handshake);
+    fn descriptor_reuse_exhaustive() {
+        let r = detector(3).check("descriptor_reuse", descriptor_reuse);
         println!(
-            "stage2_handshake: {} schedules, {} abandoned",
+            "descriptor_reuse: {} schedules, {} abandoned",
             r.schedules, r.abandoned
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Regression suite: the PR-2 seed races must be found deterministically
+// Regression suite: each gated race must be found deterministically
 // ---------------------------------------------------------------------------
 
 #[cfg(llx_model_bugs)]
 mod regression {
     use super::*;
 
-    /// The SCX-record address-recycling ABA (PR 2, seed race A): with the
-    /// `info_fields` holds and the epoch stage gated out, the explorer
-    /// must find a schedule where a stalled helper's freezing CAS runs
-    /// against a recycled block — and must find the *same* schedule every
-    /// time.
+    /// The recycling ABA (gate A): with the `seq` dropped from info
+    /// words, a thread's next SCX reinstalls the word a stalled SCX's
+    /// freezing CAS expects, and the explorer must find the schedule
+    /// where that stale CAS succeeds — the *same* schedule every time.
     #[test]
     fn finds_scx_recycling_aba() {
-        find_deterministically("pool_recycle[bugs]", pool_recycle);
+        find_deterministically("scx_recycling[bugs]", 2, scx_recycling);
+    }
+
+    /// The torn descriptor copy (gate B): without the re-check after the
+    /// copy, a helper of a finished SCX runs `Help` with the fields of
+    /// the owner's next one.
+    #[test]
+    fn finds_torn_descriptor_copy() {
+        find_deterministically("descriptor_reuse[bugs]", 3, descriptor_reuse);
     }
 
     /// The epoch-shim collect TOCTOU (PR 2, seed race B): with the
@@ -779,19 +645,7 @@ mod regression {
     /// reclaims under a pin the slot scan missed.
     #[test]
     fn finds_epoch_collect_toctou() {
-        find_deterministically("pin_collect[bugs]", pin_collect);
-    }
-
-    /// The stage-2 recycling race (PR 9, pre-existing since the PR-5
-    /// pool): with `refs`/`deps_released`/`claimed` as three separate
-    /// atomics, a final releaser's trailing touches after its decrement
-    /// race `drop_shim`'s dispose-and-recycle, and the stale `claimed`
-    /// swap retires the live successor occupying the reused block. The
-    /// explorer must find it deterministically; the packed-word protocol
-    /// (`stage2_handshake`, fixed suite) must survive every schedule.
-    #[test]
-    fn finds_stage2_recycling_race() {
-        find_deterministically("stage2_handshake[prefix]", stage2_handshake_prefix);
+        find_deterministically("pin_collect[bugs]", 2, pin_collect);
     }
 
     /// Sanity: kernels that don't exercise the gated code still pass with

@@ -1,17 +1,21 @@
-//! Cross-thread shard handoff of the SCX-record pool at its real
+//! Cross-thread shard handoff of the Data-record pool at its real
 //! constants (256-block free lists, 16-block shards): a producer thread
 //! retires more blocks than its free list holds, and a fresh consumer
 //! thread must allocate from what the producer parked.
 
 use multiset::Multiset;
 
-/// Distinct keys the producer inserts, hence roughly the SCX-records it
+/// Distinct keys the producer inserts, hence roughly the nodes it
 /// retires in one burst: several times the pool's per-thread free-list
 /// capacity.
 const PRODUCER_KEYS: u64 = 1_000;
 
-/// Insert/remove churn: every operation commits one SCX, so `pairs`
-/// pairs retire ~2×`pairs` SCX-records on the calling thread.
+/// Threads that can hold an SCX descriptor at once: the producer, then
+/// the consumer, and this one.
+const PEAK_THREADS: usize = 2;
+
+/// Insert/remove churn: every operation commits one SCX and allocates
+/// and retires multiset nodes on the calling thread.
 fn churn(set: &Multiset<u64>, pairs: usize) -> u64 {
     let mut ops = 0u64;
     for i in 0..pairs {
@@ -28,16 +32,15 @@ fn churn(set: &Multiset<u64>, pairs: usize) -> u64 {
 #[test]
 fn producer_shards_feed_a_fresh_consumer_thread() {
     llx_scx::flush_reclamation();
-    let baseline_live = llx_scx::live_scx_records();
+    let baseline = llx_scx::scx_descriptors();
 
     // Phase 1 — producer: steady single-thread churn recycles through
-    // a free list far below its cap (~160 blocks), so the producer
-    // retires a *burst* instead. Each ascending insert leaves its
-    // SCX-record pinned by the new tail node's `info` field; dropping
-    // the set releases all of them at once, and their maturation
-    // overflows the 256-block free list into parked shards. It flushes
-    // its own reclamation before exiting so the shards are parked (not
-    // stranded in partial batches) when it is gone.
+    // a free list far below its cap, so the producer retires a *burst*
+    // instead: dropping a set of ascending inserts retires every node
+    // at once, and their maturation overflows the 256-block free list
+    // into parked shards. It flushes its own reclamation before exiting
+    // so the shards are parked (not stranded in partial batches) when
+    // it is gone.
     std::thread::spawn(|| {
         let set = Multiset::<u64>::new();
         for k in 0..PRODUCER_KEYS {
@@ -70,22 +73,18 @@ fn producer_shards_feed_a_fresh_consumer_thread() {
         phase.handoffs > 0,
         "consumer thread never adopted a parked shard: {phase:?}"
     );
-    let rate = phase.hit_rate().expect("consumer allocated SCX records");
+    let rate = phase.hit_rate().expect("consumer allocated nodes");
     assert!(
         rate > 0.15,
         "hit rate {rate:.2} did not rise through the shard handoff: {phase:?}"
     );
 
-    // The handoff must not break the reclamation ledger: everything
-    // drains back to the baseline (shards hold only dead blocks).
-    llx_scx::flush_reclamation();
-    for _ in 0..256 {
-        crossbeam_epoch::pin().flush();
-    }
-    llx_scx::flush_reclamation();
-    if let (Some(before), Some(after)) = (baseline_live, llx_scx::live_scx_records()) {
-        assert_eq!(after, before, "records leaked through the shard handoff");
-    }
+    // Two short-lived threads reused or added at most two descriptors.
+    let grown = llx_scx::scx_descriptors() - baseline;
+    assert!(
+        grown <= PEAK_THREADS,
+        "{grown} SCX descriptors for two threads"
+    );
 
     // Deltas stay consistent with the absolute counters.
     let total = llx_scx::pool_stats();

@@ -14,8 +14,8 @@
 #   LLX_FAULT_SPEC='net.conn.drop=prob:0.01' LLX_CHAOS_OPS=5000 \
 #       tools/fault-replay.sh 0xfa19
 #
-# A debug binary (slower, but with the generation-stamp ABA detectors
-# and reclamation ledgers compiled in) replays with:
+# A debug binary (slower, but with the update-CAS detector and the
+# Data-record lifecycle check compiled in) replays with:
 #
 #   LLX_REPLAY_PROFILE=debug tools/fault-replay.sh 0xfa19
 set -euo pipefail
