@@ -26,25 +26,19 @@
 #   shard          the sharded scale-out facade: linearizability, stress
 #                  conservation, scan-cursor edge cases and the sharded
 #                  integration suite all at LLX_STRUCT='sharded(patricia,4)'
-#                  (release), a debug ABA soak across the shard seams,
-#                  and a best-of-3 compare leg asserting the facade's
-#                  wide-range read throughput stays at parity with the
-#                  bare backend
-#   compare-smoke  bench-harness `compare` and `scanwin` at tiny knobs
-#                  (with a scan mix); asserts both tables parse and
-#                  include every registered structure, so a broken
-#                  registry or scan knob cannot silently drop a column
-#   chaos          resilience soak under deterministic fault injection:
-#                  bench-harness `chaos` (resilient clients vs a
-#                  loopback server while the injector kills connections
-#                  mid-batch, tears frames, starves the record pool and
-#                  skips epoch ticks) across five seeds in release
-#                  under `timeout`, asserting op-ledger conservation,
-#                  at-most-once mutations, a bounded SCX descriptor
-#                  table and bounded completion; plus a debug leg, so
-#                  the debug-only detectors soak under skipped
-#                  collection ticks. A failing seed replays
-#                  bit-for-bit with tools/fault-replay.sh
+#                  (release), and a debug ABA soak across the shard seams.
+#                  Routing cost is the benchmark's to judge: `net-pipe`
+#                  is its one sharded(..) workload
+#   chaos          the resilience soak (crates/netsvc/tests/chaos.rs:
+#                  resilient clients vs a loopback server while the
+#                  injector kills connections mid-batch, tears frames,
+#                  starves the record pool and skips epoch ticks, five
+#                  seeds, asserting op-ledger conservation, at-most-once
+#                  mutations, a bounded SCX descriptor table and bounded
+#                  completion) in release under `timeout`; the `test`
+#                  stage already runs it in debug, where the debug-only
+#                  detectors watch. A failing seed replays bit-for-bit
+#                  with tools/fault-replay.sh
 #   lin-long       long-history linearizability: every structure
 #                  records >= 2048-event rounds (LLX_LIN_EVENTS) and
 #                  the per-key-compositional JIT checker must accept
@@ -68,7 +62,11 @@
 #                  races (an info word without its seq, a helper
 #                  skipping its re-check after copying a descriptor,
 #                  the epoch collect TOCTOU), which the explorer must
-#                  re-find deterministically. A full ./ci.sh run
+#                  re-find deterministically. Both legs run with
+#                  --test-threads=1: every live thread that has pinned
+#                  owns an epoch slot, so a peer test thread would change
+#                  the length of the collector's slot scan between a
+#                  regression test's two explorations. A full ./ci.sh run
 #                  explores the clean kernels at bound 1 to stay quick;
 #                  `./ci.sh --stage model` uses the default bound 2
 #                  (override with LLX_MODEL_BOUND). The regression
@@ -82,7 +80,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test debug-stress scanwin shard compare-smoke chaos lin-long bench-check model audit clippy)
+ALL_STAGES=(fmt build test debug-stress scanwin shard chaos lin-long bench-check model audit clippy)
 QUICK_STAGES=(fmt build test)
 
 # The header's "Stages (in order)" list must name exactly ALL_STAGES, in
@@ -185,130 +183,14 @@ stage_shard() {
     # with them armed while stitched cursors cross shard seams.
     LLX_STRUCT='sharded(patricia,4)' LLX_SCAN_WINDOW=4 LLX_STRESS_MILLIS=250 \
         cargo test -q -p llx-scx-repro --test sharded --test scan_cursor
-    # Perf leg: the facade's per-op overhead (routing) on the
-    # wide-range read row must stay bounded — the gate catches
-    # pathological regressions (e.g. routing gone O(shards)), not the
-    # single-digit facade tax. Best-of-3 per column with 25% tolerance:
-    # observed overhead swings 5-15% run-to-run on the 1-core host, so
-    # anything tighter flakes on scheduler noise.
-    #
-    # Each run is still time-boxed (any hang must fail the stage, not
-    # block CI), but with no retry: the recycling use-after-free that
-    # used to wedge compare runs in an infinite help loop is gone with
-    # the SCX-record refcount it lived in, so a timeout here
-    # is a real bug again, not known flakiness to paper over.
-    cargo build -q --release -p bench-harness
-    local _run
-    for _run in 1 2 3; do
-        LLX_BENCH_CELL_MILLIS=100 LLX_STRUCT='patricia,sharded(patricia,4)' \
-            timeout 300 target/release/bench-harness compare
-    done | awk '
-        function v(s) {
-            if (s ~ /G$/) return s * 1e9
-            if (s ~ /M$/) return s * 1e6
-            if (s ~ /k$/) return s * 1e3
-            return s + 0
-        }
-        /^ *1024 +0% +4 / { b = v($4); s = v($5); if (b > bb) bb = b; if (s > bs) bs = s; n++ }
-        END {
-            if (n != 3) { print "expected 3 read-row samples, got " n > "/dev/stderr"; exit 1 }
-            printf "    shard perf: bare best %.4g ops/s, sharded(patricia,4) best %.4g ops/s\n", bb, bs
-            if (bs < 0.75 * bb) {
-                print "sharded(patricia,4) read throughput fell >25% below bare patricia" > "/dev/stderr"
-                exit 1
-            }
-        }'
-}
-
-stage_compare_smoke() {
-    local out structures s rows
-    out="$(LLX_BENCH_CELL_MILLIS=15 LLX_SCAN_PCT=10 LLX_SCAN_RANGE=8 \
-        cargo run -q --release -p bench-harness -- compare)"
-    structures=(scx-multiset chromatic bst patricia kcas-multiset hoh-multiset coarse-multiset)
-    for s in "${structures[@]}"; do
-        if ! grep -q "$s" <<<"$out"; then
-            echo "compare output is missing structure column '$s'" >&2
-            echo "$out" >&2
-            return 1
-        fi
-    done
-    rows=$(grep -cE '^ *(64|1024) ' <<<"$out" || true)
-    if [[ "$rows" -ne 14 ]]; then
-        echo "compare table has $rows data rows, expected 14" >&2
-        echo "$out" >&2
-        return 1
-    fi
-    # Every data row must carry range+upd+thr plus one cell per structure.
-    if ! awk -v want=$((3 + ${#structures[@]})) \
-        '/^ *(64|1024) / { if (NF != want) { print "malformed row (" NF " fields): " $0; exit 1 } }' \
-        <<<"$out"; then
-        return 1
-    fi
-    echo "    compare table: 14 rows x ${#structures[@]} structure columns, all present"
-
-    # Spec-selected columns: LLX_STRUCT must narrow the sweep to the
-    # listed specs, with a sharded facade appearing under its canonical
-    # spec name next to the bare backend (3 key columns + 2 structures).
-    out="$(LLX_BENCH_CELL_MILLIS=15 LLX_STRUCT='patricia,sharded(patricia,4)' \
-        cargo run -q --release -p bench-harness -- compare)"
-    if ! grep -q 'sharded(patricia,4)' <<<"$out"; then
-        echo "compare under LLX_STRUCT is missing the sharded(patricia,4) column" >&2
-        echo "$out" >&2
-        return 1
-    fi
-    if grep -q 'scx-multiset' <<<"$out"; then
-        echo "compare under LLX_STRUCT leaked an unselected structure column" >&2
-        echo "$out" >&2
-        return 1
-    fi
-    if ! awk '/^ *(64|1024) / { if (NF != 5) { print "malformed sharded row (" NF " fields): " $0; exit 1 } }' \
-        <<<"$out"; then
-        return 1
-    fi
-    echo "    compare table under LLX_STRUCT: sharded(patricia,4) column present, unselected columns absent"
-
-    # The scanwin table: one row per structure (LLX_SCAN_WINDOW pins a
-    # single window size, 2 ranges), every structure present, and the
-    # windowed columns well-formed (9 fields per data row).
-    out="$(LLX_BENCH_CELL_MILLIS=15 LLX_SCAN_WINDOW=8 \
-        cargo run -q --release -p bench-harness -- scanwin)"
-    for s in "${structures[@]}"; do
-        if [[ "$(grep -cE "^ *$s " <<<"$out")" -ne 2 ]]; then
-            echo "scanwin output is missing rows for structure '$s'" >&2
-            echo "$out" >&2
-            return 1
-        fi
-    done
-    if ! awk '/^ *[a-z-]+-?multiset |^ *(chromatic|bst|patricia) / \
-        { if (NF != 9) { print "malformed scanwin row (" NF " fields): " $0; exit 1 } }' \
-        <<<"$out"; then
-        return 1
-    fi
-    if ! grep -q "Data-record pool:" <<<"$out"; then
-        echo "scanwin output is missing the pool-stats line" >&2
-        return 1
-    fi
-    echo "    scanwin table: $((2 * ${#structures[@]})) rows, all structures present, pool line printed"
 }
 
 stage_chaos() {
-    # Resilience soak under deterministic fault injection. Release
-    # leg: five consecutive seeds of `bench-harness chaos` — resilient
-    # clients vs a loopback server while the injector kills
-    # connections mid-batch, tears reply frames, drops scan streams,
-    # starves the record pool and skips epoch ticks — asserting
-    # op-ledger conservation, at-most-once mutations, a bounded SCX
-    # descriptor table and bounded completion, under `timeout` so a
-    # wedged retry loop or session thread fails the stage instead of
-    # hanging CI. Debug leg: the same fault mix with the debug-only
-    # detectors (update CAS, Data-record lifecycle) watching.
-    cargo build -q --release -p bench-harness
-    LLX_CHAOS_RUNS=5 LLX_CHAOS_OPS=1500 \
-        timeout 300 target/release/bench-harness chaos
-    cargo build -q -p bench-harness
-    LLX_CHAOS_RUNS=2 LLX_CHAOS_OPS=400 \
-        timeout 300 target/debug/bench-harness chaos
-    echo "    chaos: 5 release seeds + 2 debug seeds survived"
+    # The release leg of the chaos test; the `test` stage runs it in
+    # debug. `timeout` turns a wedged retry loop or session thread into
+    # a failed stage instead of a hung ci.
+    timeout 300 cargo test -q --release -p netsvc --test chaos
+    echo "    chaos: 5 release seeds survived"
 }
 
 stage_lin_long() {
@@ -343,10 +225,10 @@ stage_model() {
     # an unrelated `model` test target of its own).
     LLX_MODEL_BOUND="$bound" RUSTFLAGS="--cfg llx_model -Dwarnings" \
         CARGO_TARGET_DIR=target/model \
-        cargo test -q -p llx-scx-repro --test model
+        cargo test -q -p llx-scx-repro --test model -- --test-threads=1
     LLX_MODEL_BOUND="$bound" RUSTFLAGS="--cfg llx_model --cfg llx_model_bugs -Dwarnings" \
         CARGO_TARGET_DIR=target/model-bugs \
-        cargo test -q -p llx-scx-repro --test model
+        cargo test -q -p llx-scx-repro --test model -- --test-threads=1
 }
 
 stage_audit() {
@@ -387,7 +269,6 @@ run_stage test stage_test
 run_stage debug-stress stage_debug_stress
 run_stage scanwin stage_scanwin
 run_stage shard stage_shard
-run_stage compare-smoke stage_compare_smoke
 run_stage chaos stage_chaos
 run_stage lin-long stage_lin_long
 run_stage bench-check stage_bench_check

@@ -27,8 +27,8 @@
 //! Retries are **surfaced, not hidden**: each
 //! [`next_window`](ScanCursor::next_window) call makes exactly one
 //! validation attempt and reports [`ScanStep::Retry`] on conflict, so
-//! callers observe (and can bound, pace, or abort on) the retry work —
-//! the property the `bench-harness scanwin` experiment measures.
+//! callers observe (and can bound, pace, or abort on) the retry work
+//! (the benchmark's `conc-set.scan_retry_share` reports it).
 
 use std::fmt;
 

@@ -28,10 +28,10 @@
 //! point, windows tile `[lo, hi]` exactly, and a conflict retries only
 //! the dirty window — the whole per-window contract of
 //! [`ScanCursor`] holds unchanged, which is why the linearizability
-//! window-decomposition specs, the stress per-window laws and the
-//! `scanwin` experiment all run against `sharded(X,N)` with zero
-//! harness changes. The one deliberate relaxation: under
-//! [`ScanOpts::atomic`] each **shard** is one atomic window, so a
+//! window-decomposition specs and the stress per-window laws both run
+//! against `sharded(X,N)` with zero harness changes. The one
+//! deliberate relaxation: under [`ScanOpts::atomic`] each **shard** is
+//! one atomic window, so a
 //! cross-shard `fold_range`/`range_count` is per-shard atomic rather
 //! than a single global snapshot (at quiescence the two coincide,
 //! which is all the conservation laws need). A scan confined to one

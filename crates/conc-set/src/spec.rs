@@ -18,9 +18,8 @@
 //! Composites nest (`sharded(sharded(bst,2),2)` is legal, if odd), the
 //! parser reports errors with **line and column**, and [`Display`]
 //! round-trips: `spec.to_string()` re-parses to an equivalent spec and
-//! is the label every harness table prints. Every selector — the
-//! bench-harness `compare`/`scanwin` sweeps and the root
-//! linearizability/stress/scan tests — goes through [`selected_specs`],
+//! is the label every harness prints. Every selector (the root
+//! linearizability/stress/scan tests) goes through [`selected_specs`],
 //! so setting `LLX_STRUCT=patricia,sharded(patricia,4)` retargets all
 //! of them at once with zero harness changes; future composites
 //! (NUMA-split, tiered, replicated) only extend the grammar.

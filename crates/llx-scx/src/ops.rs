@@ -534,21 +534,25 @@ mod tests {
 
     #[test]
     fn vlx_costs_k_reads() {
-        // §1: "A VLX on k Data-records only requires reading k words."
-        let k = 6;
+        // §1: "A VLX on k Data-records only requires reading k words",
+        // and nothing else: no CAS, no write.
         let d: Domain<1, u64> = Domain::with_stats();
         let g = crossbeam_epoch::pin();
-        let recs: Vec<_> = (0..k).map(|i| d.alloc(i as u64, [0])).collect();
-        let snaps: Vec<_> = recs
-            .iter()
-            .map(|&r| d.llx(unsafe { &*r }, &g).snapshot().unwrap())
-            .collect();
-        let before = d.stats().unwrap();
-        assert!(d.vlx(&snaps));
-        let cost = d.stats().unwrap().diff(&before);
-        assert_eq!(cost.reads, k as u64);
-        for r in recs {
-            unsafe { d.retire(r, &g) };
+        for k in [1usize, 2, 4, 8, 16, 32] {
+            let recs: Vec<_> = (0..k).map(|i| d.alloc(i as u64, [0])).collect();
+            let snaps: Vec<_> = recs
+                .iter()
+                .map(|&r| d.llx(unsafe { &*r }, &g).snapshot().unwrap())
+                .collect();
+            let before = d.stats().unwrap();
+            assert!(d.vlx(&snaps));
+            let cost = d.stats().unwrap().diff(&before);
+            assert_eq!(cost.reads, k as u64, "k = {k}");
+            assert_eq!(cost.total_cas(), 0, "k = {k}");
+            assert_eq!(cost.total_writes(), 0, "k = {k}");
+            for r in recs {
+                unsafe { d.retire(r, &g) };
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //! primitive step counts: an uncontended SCX that depends on `k` LLXs and
 //! finalizes `f` records performs `k + 1` CAS steps and `f + 2` writes,
 //! versus `2k + 1` CAS steps for the best k-word CAS. These counters let
-//! the benchmark harness (experiment E1) and the test suite measure those
-//! counts exactly.
+//! the `ops` unit tests assert those counts exactly (and a VLX's `k`
+//! reads), and let the repository benchmark report them per committed
+//! SCX (`llx-scx.cas_per_commit`, `writes_per_commit`).
 //!
 //! Counting is off by default and enabled per [`Domain`](crate::Domain)
 //! with [`Domain::with_stats`](crate::Domain::with_stats); when disabled

@@ -679,6 +679,21 @@ impl Explorer {
                 |st| st.status.clone(),
             );
 
+            // Stop at the first recorded failure and unwind the rest,
+            // unscheduled, as for an abandoned execution. Checked here,
+            // with every worker parked or finished (a worker records its
+            // failure before it reports Finished), so the failing schedule
+            // ends at the same step on every run; a check right after a
+            // grant would race the granted worker.
+            if !failures
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .is_empty()
+            {
+                with_state_when(|_| true, |st| st.abort = true);
+                break;
+            }
+
             let enabled: Vec<usize> = snapshot
                 .iter()
                 .enumerate()
@@ -778,15 +793,6 @@ impl Explorer {
                     st.turn = Turn::Worker(chosen);
                 },
             );
-
-            // Stop early once a failure is recorded: abort the rest.
-            if !failures
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-            {
-                with_state_when(|st| st.turn == Turn::Controller, |st| st.abort = true);
-            }
         }
 
         if abandoned {

@@ -425,38 +425,6 @@ impl<K: Copy + Ord> Multiset<K> {
         self.domain.vlx(&snaps).then_some((out, end))
     }
 
-    /// Traversal that performs an **LLX on every visited node** instead
-    /// of plain reads, following `next` pointers from the snapshots.
-    ///
-    /// This exists for the E7 ablation benchmark: the paper's §4.3
-    /// (Proposition 2) is what lets [`Multiset::fold`] use plain reads;
-    /// this method is the design it avoids. The closure receives each
-    /// user key with its snapshotted count and returns whether to keep
-    /// traversing. Restarts from the head if it runs onto a finalized
-    /// node.
-    pub fn fold_llx<F: FnMut(K, u64) -> bool>(&self, guard: &Guard, mut f: F) {
-        'restart: loop {
-            let mut cur: &Node<K> = unsafe { &*self.head };
-            loop {
-                let snap = match self.domain.llx(cur, guard) {
-                    LlxResult::Snapshot(s) => s,
-                    LlxResult::Fail => continue,
-                    LlxResult::Finalized => continue 'restart,
-                };
-                if let SentinelKey::Key(k) = cur.immutable() {
-                    if !f(*k, snap.value(COUNT)) {
-                        return;
-                    }
-                }
-                let next_word = snap.value(NEXT);
-                if next_word == llx_scx::NULL {
-                    return;
-                }
-                cur = unsafe { self.domain.deref(next_word, guard) };
-            }
-        }
-    }
-
     /// Collect the `(key, count)` pairs in ascending key order.
     ///
     /// Same traversal semantics as [`Multiset::len`].

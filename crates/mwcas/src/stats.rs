@@ -1,6 +1,8 @@
-//! CAS step counting for the E1 step-complexity experiment.
+//! CAS step counting for the kCAS side of the paper's §1/§2 cost
+//! comparison (`3k + 1` CAS here, against an SCX's `k + 1`; asserted by
+//! `uncontended_kcas_costs_3k_plus_1_cas` below).
 //!
-//! The counter is per thread: the experiment measures uncontended
+//! The counter is per thread: the test measures uncontended
 //! single-threaded costs, differencing the counter around one operation
 //! on the measuring thread, and a thread-local count cannot be moved by
 //! a peer running kCAS concurrently (another test in the same binary,

@@ -24,10 +24,14 @@
 //! processes reclaim memory without ever calling [`Guard::flush`];
 //! `flush` remains the way tests drain deterministically.
 //!
-//! Deferred closures may themselves pin and defer (the SCX-record
-//! reclamation protocol relies on this); the collector runs closures
-//! outside all internal locks and thread-local borrows to keep that
-//! re-entrancy safe.
+//! Deferred closures may themselves pin and defer; the collector runs
+//! closures outside all internal locks and thread-local borrows to keep
+//! that re-entrancy safe. One caller relies on it: the `mwcas` kCAS
+//! baseline, whose RDCSS descriptor's drop (run as a deferred closure)
+//! pins and releases its reference on the kCAS descriptor, deferring
+//! that descriptor's free when it was the last. The `llx-scx` path does
+//! not re-enter: its deferred closures only drop Data-records and
+//! recycle their blocks.
 //!
 //! # One collection mode: inline
 //!

@@ -220,23 +220,19 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_STRESS_MILLIS` | stress/concurrent tests (`llx-scx`, `multiset`, `trees`, root `conc_stress`) | duration (ms) of each stop-flag churn phase (defaults 100–200) |
 /// | `LLX_STRESS_SCALE` | bounded stress loops | integer multiplier for iteration counts (default 1) |
 /// | `LLX_LIN_ROUNDS_SCALE` | root `linearizability` tests | integer multiplier for WGL-checked rounds per structure (default 1) |
-/// | `LLX_SCAN_PCT` | `bench-harness compare` | percent of generated operations that are range scans, taken from the lookup share (default 0; see [`Mix::with_scan_percent`]) |
-/// | `LLX_SCAN_RANGE` | `bench-harness`, scan-mix stress tests | width (number of keys) of each scanned range (default 16) |
-/// | `LLX_SCAN_WINDOW` | scan-mix stress tests, `bench-harness scanwin` | keys per validated window of a **windowed** scan cursor; `0` (default) keeps scans atomic (whole-range snapshots). Stress runs with a window also assert the per-window conservation laws |
-/// | `LLX_SCANWIN_WRITE_RATE` | `bench-harness scanwin` | target updates/second of the fixed-rate writer each `scanwin` cell runs against (default 2000) |
-/// | `LLX_BENCH_CELL_MILLIS` | `bench-harness` throughput experiments | duration (ms) of each measured throughput cell (default 300; CI smoke runs use ~20) |
+/// | `LLX_SCAN_RANGE` | scan-mix stress tests (root `conc_stress`) | width (number of keys) of each scanned range (default 16) |
+/// | `LLX_SCAN_WINDOW` | scan-mix stress tests (root `conc_stress`, `scan_cursor`; ci.sh `scanwin` stage) | keys per validated window of a **windowed** scan cursor; `0` (default) keeps scans atomic (whole-range snapshots). Stress runs with a window also assert the per-window conservation laws |
 /// | `LLX_MODEL_BOUND` | `tests/model.rs` under `--cfg llx_model` (ci.sh `model` stage) | preemption bound of the deterministic schedule explorer: max voluntary context switches the DFS may inject per execution (default 2; forced switches at blocking/termination are free). The full `./ci.sh` run exports `1` for speed; the regression scenarios pin `>= 2` themselves |
 /// | `LLX_MODEL_STEPS` | `tests/model.rs` under `--cfg llx_model` | per-execution scheduling-step cap before a schedule is abandoned as a suspected livelock (default 20000); abandoned schedules are reported and make the run non-exhaustive |
 /// | `LLX_MODEL_SCHEDULES` | `tests/model.rs` under `--cfg llx_model` | max schedules explored per scenario; `0` (default) = exhaustive up to the bound |
 /// | `LLX_LIN_EVENTS` | root `linearizability` long-round tests (ci.sh `lin-long` stage) | events per long recorded round checked by the partitioned JIT checker (default 2048, floored at 64) |
 /// | `LLX_LIN_CHECKER` | root `linearizability` small-round tests | which backend judges the small WGL-sized rounds: `wgl`, `jit`, or `both` (default `both` — cross-checks and fails on disagreement). Long rounds always use JIT; the WGL bitmask cannot represent them |
 /// | `LLX_LIN_DIFF_CASES` | `linearize` `differential` test | histories generated for the WGL-vs-JIT differential sweep (default 3000, floor 2000; half are mutated) |
-/// | `LLX_STRUCT` | `conc-set` registry (`selected_specs`), so `bench-harness` `compare`/`scanwin` and the root linearizability/stress/scan tests | comma-separated `StructureSpec` list selecting which structures the generic harnesses run — e.g. `patricia,sharded(patricia,4)`. Unset = every registered bare structure. Bad specs fail fast with a line/column parse error |
+/// | `LLX_STRUCT` | `conc-set` registry (`selected_specs`), so the root linearizability/stress/scan tests | comma-separated `StructureSpec` list selecting which structures the generic harnesses run — e.g. `patricia,sharded(patricia,4)`. Unset = every registered bare structure. Bad specs fail fast with a line/column parse error |
 /// | `LLX_SHARDS` | `conc-set` `StructureSpec` parsing | shard count a `sharded(X)` spec without an explicit count resolves to (default 4, clamped to at least 1) |
 /// | `LLX_SHARD_DOMAIN` | `conc-set` `ShardedSet` partition map | the key prefix `[0, domain)` that is split evenly across shards; the last shard also owns the tail up to `MAX_KEY` (default 1024, clamped to at least 1). Keep it near the workload's key-range so small-key benches actually spread across shards |
 /// | `LLX_NET_ADDR` | `netsvc` server (`ServerConfig::default`) | bind address of the network service tier (default `127.0.0.1:0`, an OS-assigned loopback port; `Server::local_addr` reports the real one) |
 /// | `LLX_NET_BATCH` | `netsvc` sessions | max pipelined requests drained into one server-side batch; the batch's point ops share a single epoch pin (default 64, clamped to 1..=4096) |
-/// | `LLX_NET_CONNS` | `bench-harness chaos` | concurrent resilient client connections per chaos run (default 4, clamped to 1..=256) |
 /// | `LLX_NET_MAX_SESSIONS` | `netsvc` accept loop | live-session cap; connections past it are shed at accept time with one `Busy` frame, no thread spawned (default 256, clamped to 1..=16384) |
 /// | `LLX_NET_IDLE_MS` | `netsvc` sessions | idle-deadline reaper: a session that completes no *frame* in this window is evicted — the clock never resets on byte dribble, so slow-loris clients cannot hold a session thread (default 10000; `0` disables) |
 /// | `LLX_NET_MAX_SCANS` | `netsvc` sessions | concurrent `RangeScan`-stream cap; excess scans (and scans during shutdown drain) answer `Busy` while point ops keep flowing (default 32, clamped to 1..=4096) |
@@ -244,10 +240,8 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_NET_RETRY_MAX` | `netsvc` `ResilientClient` | attempts per idempotent op / definite-failure mutation before giving up (default 5, clamped to 1..=100) |
 /// | `LLX_NET_RETRY_BASE_MS` | `netsvc` `ResilientClient` | first-retry backoff of the capped exponential schedule; attempt k waits jittered `min(cap, base·2^k)` (default 10) |
 /// | `LLX_NET_RETRY_CAP_MS` | `netsvc` `ResilientClient` | backoff ceiling (default 500) |
-/// | `LLX_FAULT_SPEC` | `faultpoint` (armed lazily on first `fire`) | the fault-injection spec, `name=trigger` comma list with triggers `prob:P`, `every:N`, `once:N` — e.g. `net.conn.drop=prob:0.01,epoch.tick.skip=every:64`; see the `faultpoint` crate docs for the point table. Unset = every point inert |
-/// | `LLX_FAULT_SEED` | `faultpoint` | seed of the deterministic per-point RNG streams behind `prob:` triggers (default `0xFA17`); replaying a failing seed replays its faults |
-/// | `LLX_CHAOS_RUNS` | `bench-harness chaos` | consecutive seeded chaos runs (seeds `LLX_FAULT_SEED + 0..runs`; default 5) |
-/// | `LLX_CHAOS_OPS` | `bench-harness chaos` | mutations each chaos client attempts per run (default 2000) |
+/// | `LLX_FAULT_SPEC` | `faultpoint` (armed lazily on first `fire`), `netsvc` `chaos` test (overrides its fault mix) | the fault-injection spec, `name=trigger` comma list with triggers `prob:P`, `every:N`, `once:N` — e.g. `net.conn.drop=prob:0.01,epoch.tick.skip=every:64`; see the `faultpoint` crate docs for the point table. Unset = every point inert |
+/// | `LLX_FAULT_SEED` | `faultpoint`, `netsvc` `chaos` test | seed of the deterministic per-point RNG streams behind `prob:` triggers (default `0xFA17`); replaying a failing seed replays its faults. The chaos test runs seeds `LLX_FAULT_SEED + 0..5`; `tools/fault-replay.sh SEED` sets it |
 /// | `PROPTEST_CASES` | every property test (proptest shim) | overrides the case count |
 /// | `PROPTEST_SEED` | every property test (proptest shim) | perturbs the otherwise deterministic streams |
 ///
@@ -287,12 +281,6 @@ pub mod knobs {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
-    }
-
-    /// `LLX_SCAN_PCT`: percent of generated operations that are range
-    /// scans (default 0, clamped to 100).
-    pub fn scan_percent() -> u32 {
-        env_u64("LLX_SCAN_PCT", 0).min(100) as u32
     }
 
     /// `LLX_SCAN_RANGE`: width in keys of each scanned range (default
@@ -363,12 +351,6 @@ pub mod knobs {
         env_u64("LLX_NET_BATCH", 64).clamp(1, 4096) as usize
     }
 
-    /// `LLX_NET_CONNS`: concurrent resilient client connections of a
-    /// `bench-harness chaos` run (default 4, clamped to 1..=256).
-    pub fn net_conns() -> usize {
-        env_u64("LLX_NET_CONNS", 4).clamp(1, 256) as usize
-    }
-
     /// `LLX_NET_MAX_SESSIONS`: live-session cap of a `netsvc` server;
     /// connections past it are shed at accept time with one `Busy`
     /// frame (default 256, clamped to 1..=16384).
@@ -414,19 +396,6 @@ pub mod knobs {
     /// exponential backoff (default 500 ms).
     pub fn net_retry_cap() -> Duration {
         env_millis("LLX_NET_RETRY_CAP_MS", 500)
-    }
-
-    /// `LLX_CHAOS_RUNS`: consecutive seeded runs of `bench-harness
-    /// chaos`, seeds `LLX_FAULT_SEED + 0..runs` (default 5, clamped to
-    /// 1..=1000).
-    pub fn chaos_runs() -> u64 {
-        env_u64("LLX_CHAOS_RUNS", 5).clamp(1, 1000)
-    }
-
-    /// `LLX_CHAOS_OPS`: mutations each chaos client attempts per run
-    /// (default 2000, clamped to 1..=10_000_000).
-    pub fn chaos_ops() -> u64 {
-        env_u64("LLX_CHAOS_OPS", 2000).clamp(1, 10_000_000)
     }
 
     #[cfg(test)]

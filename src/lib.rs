@@ -6,7 +6,6 @@
 //! examples and downstream users can reach everything through one
 //! dependency.
 
-pub use kcss;
 pub use linearize;
 pub use llx_scx;
 pub use lockbased;

@@ -21,7 +21,12 @@
 //! controller thread and starts by draining process-global state —
 //! `flush_reclamation` (epoch queue + orphans), `reset_pool_stats`,
 //! `kcas_reset_cas_count` — so schedules are replayable and nothing bleeds
-//! between executions.
+//! between executions. One piece of global state cannot be drained: the
+//! epoch shim gives every live thread that has pinned a slot, and the
+//! collector's slot scan makes one instrumented load per slot. A peer
+//! test thread that pins, or exits, between a regression test's two
+//! explorations changes that count and with it the failing schedule, so
+//! run this binary with `--test-threads=1` (ci.sh's `model` stage does).
 #![cfg(llx_model)]
 // The regression family only exercises the kernels the bug gates touch.
 #![cfg_attr(llx_model_bugs, allow(dead_code))]
