@@ -29,16 +29,20 @@
 #                  (release), and a debug ABA soak across the shard seams.
 #                  Routing cost is the benchmark's to judge: `net-pipe`
 #                  is its one sharded(..) workload
-#   chaos          the resilience soak (crates/netsvc/tests/chaos.rs:
+#   chaos          the whole netsvc suite in release under `timeout`:
+#                  unit tests, server, resilience, protocol, fuzz, and
+#                  the resilience soak (crates/netsvc/tests/chaos.rs:
 #                  resilient clients vs a loopback server while the
 #                  injector kills connections mid-batch, tears frames,
 #                  starves the record pool and skips epoch ticks, five
 #                  seeds, asserting op-ledger conservation, at-most-once
 #                  mutations, a bounded SCX descriptor table and bounded
-#                  completion) in release under `timeout`; the `test`
-#                  stage already runs it in debug, where the debug-only
-#                  detectors watch. A failing seed replays bit-for-bit
-#                  with tools/fault-replay.sh
+#                  completion). Batch formation and write coalescing are
+#                  timing-dependent, so they run at release speed too;
+#                  the `test` stage already runs the suite in debug,
+#                  where the debug-only detectors watch. A failing
+#                  chaos seed replays bit-for-bit with
+#                  tools/fault-replay.sh
 #   lin-long       long-history linearizability: every structure
 #                  records >= 2048-event rounds (LLX_LIN_EVENTS) and
 #                  the per-key-compositional JIT checker must accept
@@ -186,11 +190,11 @@ stage_shard() {
 }
 
 stage_chaos() {
-    # The release leg of the chaos test; the `test` stage runs it in
-    # debug. `timeout` turns a wedged retry loop or session thread into
-    # a failed stage instead of a hung ci.
-    timeout 300 cargo test -q --release -p netsvc --test chaos
-    echo "    chaos: 5 release seeds survived"
+    # The release leg of every netsvc test target, chaos included; the
+    # `test` stage runs them in debug. `timeout` turns a wedged retry
+    # loop or session thread into a failed stage instead of a hung ci.
+    timeout 300 cargo test -q --release -p netsvc
+    echo "    chaos: netsvc suite and 5 chaos seeds survived in release"
 }
 
 stage_lin_long() {

@@ -369,9 +369,10 @@ impl Request {
 impl Response {
     /// Append this response's payload (opcode + fields) to `buf`.
     ///
-    /// Error messages longer than `u16::MAX` bytes and windows larger
-    /// than [`MAX_SCAN_WINDOW`] are truncated — the encoder never
-    /// produces an over-[`MAX_PAYLOAD`] frame.
+    /// Error messages longer than `MAX_PAYLOAD - 3` bytes (the room
+    /// the opcode and the `u16` length leave; below `u16::MAX`) and
+    /// windows larger than [`MAX_SCAN_WINDOW`] are truncated — the
+    /// encoder never produces an over-[`MAX_PAYLOAD`] frame.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Value(v) => {
@@ -381,7 +382,7 @@ impl Response {
             Response::Error(msg) => {
                 buf.push(1);
                 let bytes = msg.as_bytes();
-                let take = floor_char_boundary(msg, bytes.len().min(u16::MAX as usize));
+                let take = floor_char_boundary(msg, bytes.len().min(MAX_PAYLOAD - 3));
                 buf.extend_from_slice(&(take as u16).to_le_bytes());
                 buf.extend_from_slice(&bytes[..take]);
             }
@@ -547,6 +548,12 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<(), NetErr
 /// frames come out. Partial frames — a header split across TCP
 /// segments, a payload missing its tail — simply stay buffered until
 /// the rest arrives.
+///
+/// [`next_frame_with`](FrameAssembler::next_frame_with) lends each
+/// complete payload to a closure straight out of the assembler's
+/// buffer — the server decodes requests that way, with no per-frame
+/// allocation; [`next_frame`](FrameAssembler::next_frame) is the owning
+/// convenience over it.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
@@ -574,6 +581,18 @@ impl FrameAssembler {
     /// are needed, or [`NetError::Malformed`] on an in-stream framing
     /// violation (after which the connection is beyond recovery).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        self.next_frame_with(<[u8]>::to_vec)
+    }
+
+    /// [`next_frame`](FrameAssembler::next_frame) without the copy:
+    /// pop the next complete frame and hand its payload, borrowed from
+    /// the assembler's buffer, to `f`; answers what `f` returns. The
+    /// `Ok(None)` and [`NetError::Malformed`] cases are `next_frame`'s
+    /// (`f` is not called for them).
+    pub fn next_frame_with<T>(
+        &mut self,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<Option<T>, NetError> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
@@ -587,9 +606,9 @@ impl FrameAssembler {
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        let payload = avail[4..4 + len].to_vec();
+        let out = f(&avail[4..4 + len]);
         self.start += 4 + len;
-        Ok(Some(payload))
+        Ok(Some(out))
     }
 
     /// Bytes buffered but not yet consumed as frames.
@@ -775,13 +794,17 @@ mod tests {
 
     #[test]
     fn long_error_messages_truncate_on_char_boundaries() {
-        let msg = "é".repeat(40_000); // 2 bytes per char > u16::MAX bytes
-        let mut buf = Vec::new();
-        Response::Error(msg).encode(&mut buf);
-        let decoded = Response::decode(&buf).unwrap();
-        match decoded {
-            Response::Error(m) => assert!(m.len() <= u16::MAX as usize),
-            other => panic!("expected Error, got {other:?}"),
+        for msg in ["é".repeat(40_000), "x".repeat(70_000)] {
+            // Both exceed u16::MAX bytes; the truncated payload must
+            // still fit a frame.
+            let mut buf = Vec::new();
+            Response::Error(msg).encode(&mut buf);
+            assert!(buf.len() <= MAX_PAYLOAD, "{}-byte Error payload", buf.len());
+            let decoded = Response::decode(&buf).unwrap();
+            match decoded {
+                Response::Error(m) => assert!(m.len() <= u16::MAX as usize),
+                other => panic!("expected Error, got {other:?}"),
+            }
         }
     }
 }

@@ -5,26 +5,36 @@
 //! # Batching
 //!
 //! A session does not serve requests one read() at a time. Each cycle
-//! it blocks for the *first* complete frame, then drains every byte
-//! the client has already pipelined (a non-blocking read loop) and
-//! cuts the re-assembled frames into one batch of up to
-//! [`ServerConfig::batch_cap`] requests. The batch's point operations
+//! it blocks for the *first* complete frame; if that read filled the
+//! whole 16 KiB read buffer, the client may have pipelined more, so the
+//! session drains the socket without blocking (a read that came back
+//! short already took everything the socket held, and skips the drain).
+//! It then cuts the re-assembled frames into one batch of up to
+//! [`ServerConfig::batch_cap`] requests, decoding each request straight
+//! out of the assembler's buffer. The batch's point operations
 //! all execute under a **single epoch pin**: `crossbeam_epoch::pin()`
 //! is re-entrant, so the per-operation pins inside the structures
 //! collapse into cheap re-entries and the epoch-entry cost — the fee
 //! the paper's reclamation assumption charges every operation — is
-//! paid once per batch instead of once per op. Replies are written in
-//! request order and flushed once per batch. That is why pipeline
-//! depth translates into server-side throughput: depth-N clients
-//! amortize both the syscalls and the epoch machinery N ways.
+//! paid once per batch instead of once per op. Replies are framed in
+//! request order, in place, into one per-session out-buffer, which goes
+//! to the socket in a single write at the end of the batch (and before
+//! any early exit that owes the client an `Error` frame). That is why
+//! pipeline depth translates into server-side throughput: depth-N
+//! clients amortize both the syscalls and the epoch machinery N ways.
 //!
 //! # Scan streaming
 //!
 //! A [`Request::RangeScan`] maps onto the structure's windowed
 //! [`ScanCursor`](conc_set::ScanCursor): the session drives
-//! `next_window` and writes each validated window as its own
-//! [`Response::ScanWindow`] frame, then [`Response::ScanDone`]. Memory
-//! at the server is bounded by one window regardless of range size;
+//! `next_window` and frames each validated window as its own
+//! [`Response::ScanWindow`] into the out-buffer, then
+//! [`Response::ScanDone`]. The out-buffer goes to the socket whenever
+//! it reaches a fixed 32 KiB high-water mark, and at `ScanDone`, so a
+//! stream of 4 KiB windows costs one write per eight windows while the
+//! client still sees it progress. Memory at the server is bounded
+//! regardless of range size: at most one out-buffer (under the
+//! high-water mark plus one frame) and one window per session;
 //! writers are never blocked (cursor validation retries only the dirty
 //! window, with backoff); and the stream is interleaved *between* a
 //! batch's point replies at its request's position, preserving
@@ -65,7 +75,7 @@
 //! and buffers drop with the stack, the active-session count
 //! decrements, nothing wedges.
 
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,7 +85,8 @@ use std::time::{Duration, Instant};
 use conc_set::{ConcurrentOrderedSet, ScanOpts, ScanStep, StructureSpec};
 
 use crate::codec::{
-    write_frame, FrameAssembler, NetError, NetStats, Request, Response, MAX_SCAN_WINDOW,
+    write_frame, FrameAssembler, NetError, NetStats, Request, Response, MAX_PAYLOAD,
+    MAX_SCAN_WINDOW,
 };
 
 /// Server construction knobs; [`ServerConfig::default`] reads the
@@ -455,39 +466,106 @@ impl Drop for ScanSlot<'_> {
     }
 }
 
+/// A scan stream sends the out-buffer once it holds this many bytes:
+/// eight 256-key windows per write, and a bound on what a stream
+/// buffers at the server.
+const SCAN_HIGH_WATER: usize = 32 * 1024;
+
+/// A session's reply path: responses are framed in place at the end of
+/// one reusable buffer, which reaches the socket in a single
+/// `write_all` per [`send`](OutBuf::send).
+struct OutBuf<W: Write> {
+    sock: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> OutBuf<W> {
+    fn new(sock: W) -> Self {
+        OutBuf {
+            sock,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Frame one response: reserve the 4-byte header, encode the
+    /// payload behind it, patch the length in — the bytes
+    /// [`write_frame`] would write, without a payload `Vec`. The
+    /// `net.frame.torn` fault point cuts the frame mid-payload, sends
+    /// the buffer (earlier complete frames, then the header and half
+    /// the payload) and fails, which drops the connection — the
+    /// torn-write failure mode a crashing server produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is outside `1..=`[`MAX_PAYLOAD`], as
+    /// [`write_frame`] does.
+    fn reply(&mut self, resp: &Response) -> Result<(), NetError> {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        resp.encode(&mut self.buf);
+        let len = self.buf.len() - start - 4;
+        assert!(
+            (1..=MAX_PAYLOAD).contains(&len),
+            "frame payload of {len} bytes outside 1..={MAX_PAYLOAD}"
+        );
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        if faultpoint::fire("net.frame.torn") {
+            self.buf.truncate(start + 4 + len / 2);
+            self.send()?;
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "injected torn frame",
+            )));
+        }
+        Ok(())
+    }
+
+    /// Write everything buffered in one `write_all`; a no-op when empty.
+    fn send(&mut self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.sock.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+}
+
 /// One connection's lifetime: batch-read, batch-execute, reply
 /// in order, repeat until disconnect, protocol violation, idle
-/// eviction, or shutdown.
+/// eviction, or shutdown. The out-buffer is empty at the top of every
+/// cycle: each batch, and each exit that owes the client bytes, sends
+/// it.
 fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<SessionEnd, NetError> {
     stream.set_nodelay(true).ok();
     stream
         .set_read_timeout(Some(Duration::from_millis(50)))
         .ok();
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = stream;
+    let mut reader = &stream;
+    let mut out = OutBuf::new(&stream);
     let mut asm = FrameAssembler::new();
     let mut chunk = [0u8; 16 * 1024];
-    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(cfg.batch_cap);
-    // The reaper clock: arms at accept, re-arms only on a *complete*
-    // frame. Byte dribble does not touch it.
+    let mut batch: Vec<Result<Request, String>> = Vec::with_capacity(cfg.batch_cap);
+    // The reaper clock: arms at accept, re-arms only when a batch of
+    // *complete* frames is cut. Byte dribble does not touch it.
     let mut last_frame = Instant::now();
     loop {
         batch.clear();
         // Phase 1: block (on a shutdown-polling timeout) until at
-        // least one complete frame is buffered.
+        // least one complete frame is buffered. Frames left over from
+        // the previous cut are found before any read.
+        let mut chunk_filled = false;
         loop {
-            match asm.next_frame() {
-                Ok(Some(payload)) => {
-                    batch.push(payload);
-                    last_frame = Instant::now();
+            match asm.next_frame_with(Request::decode) {
+                Ok(Some(req)) => {
+                    batch.push(req);
                     break;
                 }
                 Ok(None) => {}
                 Err(violation) => {
                     // A framing lie leaves no recoverable boundary:
                     // report once and drop the connection.
-                    reply(&mut writer, &Response::Error(violation.to_string()))?;
-                    writer.flush()?;
+                    out.reply(&Response::Error(violation.to_string()))?;
+                    out.send()?;
                     return Err(violation);
                 }
             }
@@ -498,14 +576,12 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
             if !cfg.idle_deadline.is_zero() && last_frame.elapsed() >= cfg.idle_deadline {
                 // The reaper: no complete frame within the deadline.
                 // One parting Error frame (best effort), then evict.
-                let _ = reply(
-                    &mut writer,
-                    &Response::Error(format!(
+                let _ = out
+                    .reply(&Response::Error(format!(
                         "idle deadline exceeded: no complete frame in {:?}",
                         cfg.idle_deadline
-                    )),
-                )
-                .and_then(|()| writer.flush().map_err(NetError::Io));
+                    )))
+                    .and_then(|()| out.send().map_err(NetError::Io));
                 return Ok(SessionEnd::IdleEvicted);
             }
             match reader.read(&mut chunk) {
@@ -519,7 +595,10 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
                         SessionEnd::TornEof
                     });
                 }
-                Ok(n) => asm.extend(&chunk[..n]),
+                Ok(n) => {
+                    asm.extend(&chunk[..n]);
+                    chunk_filled = n == chunk.len();
+                }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut
@@ -527,26 +606,29 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
-        // Phase 2: drain everything the client already pipelined,
-        // without blocking, and cut it into this batch.
-        reader.set_nonblocking(true).ok();
-        loop {
-            match reader.read(&mut chunk) {
-                Ok(0) => break, // half-closed; serve what we have
-                Ok(n) => asm.extend(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+        // Phase 2: a read that filled `chunk` may have left pipelined
+        // bytes in the socket; drain them without blocking. A shorter
+        // read took everything the socket held at that moment, so the
+        // drain's two ioctls and its would-block read are skipped. A failed mode
+        // switch ends the session: stuck non-blocking, phase 1 would
+        // spin on `WouldBlock`; stuck blocking, the drain would stall.
+        if chunk_filled {
+            reader.set_nonblocking(true)?;
+            loop {
+                match reader.read(&mut chunk) {
+                    Ok(0) => break, // half-closed; serve what we have
+                    Ok(n) => asm.extend(&chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
             }
+            reader.set_nonblocking(false)?;
         }
-        reader.set_nonblocking(false).ok();
         let mut framing_violation = None;
         while batch.len() < cfg.batch_cap {
-            match asm.next_frame() {
-                Ok(Some(payload)) => {
-                    batch.push(payload);
-                    last_frame = Instant::now();
-                }
+            match asm.next_frame_with(Request::decode) {
+                Ok(Some(req)) => batch.push(req),
                 Ok(None) => break,
                 Err(e) => {
                     // Serve the complete frames first, then report and
@@ -557,6 +639,7 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
                 }
             }
         }
+        last_frame = Instant::now();
         // Execute the batch: point ops share one epoch pin; a scan
         // releases it (each window re-pins internally) and streams its
         // windows in place, keeping replies in request order.
@@ -567,18 +650,20 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
             .fetch_add(batch.len() as u64, Ordering::SeqCst);
         {
             let mut pin = Some(crossbeam_epoch::pin());
-            for payload in batch.drain(..) {
-                // Injected mid-batch connection kill: the remaining
-                // requests of the batch get no reply and the socket
-                // drops abruptly — the client-side ambiguity the
-                // Retry/Unknown protocol exists for.
+            for req in batch.drain(..) {
+                // Injected mid-batch connection kill: the replies
+                // already framed reach the wire, the remaining requests
+                // of the batch get none and the socket drops abruptly —
+                // the client-side ambiguity the Retry/Unknown protocol
+                // exists for.
                 if faultpoint::fire("net.conn.drop") {
+                    out.send()?;
                     return Err(NetError::Io(io::Error::new(
                         io::ErrorKind::ConnectionAborted,
                         "injected connection drop mid-batch",
                     )));
                 }
-                match Request::decode(&payload) {
+                match req {
                     Ok(Request::RangeScan {
                         structure,
                         lo,
@@ -597,14 +682,7 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
                                 };
                                 match slot {
                                     Some(_slot) => {
-                                        if !stream_scan(
-                                            &**set,
-                                            lo,
-                                            hi,
-                                            window,
-                                            shared,
-                                            &mut writer,
-                                        )? {
+                                        if !stream_scan(&**set, lo, hi, window, shared, &mut out)? {
                                             // Aborted for shutdown:
                                             // drop the connection, the
                                             // process is going away.
@@ -617,63 +695,38 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
                                         // connection and its point ops
                                         // keep working.
                                         shared.scans_rejected.fetch_add(1, Ordering::SeqCst); // ord: stats counter
-                                        reply(&mut writer, &Response::Busy)?;
+                                        out.reply(&Response::Busy)?;
                                     }
                                 }
                             }
-                            None => reply(
-                                &mut writer,
-                                &Response::Error(unknown_structure(shared, structure)),
-                            )?,
+                            None => {
+                                out.reply(&Response::Error(unknown_structure(shared, structure)))?
+                            }
                         }
                     }
-                    Ok(Request::Stats) => {
-                        let resp = Response::Stats(shared.stats());
-                        reply(&mut writer, &resp)?;
-                    }
+                    Ok(Request::Stats) => out.reply(&Response::Stats(shared.stats()))?,
                     Ok(req) => {
                         if pin.is_none() {
                             pin = Some(crossbeam_epoch::pin());
                         }
-                        let resp = point_op(shared, &req);
-                        reply(&mut writer, &resp)?;
+                        out.reply(&point_op(shared, &req))?;
                     }
                     Err(msg) => {
                         drop(pin.take());
-                        reply(&mut writer, &Response::Error(format!("bad request: {msg}")))?;
-                        writer.flush()?;
+                        out.reply(&Response::Error(format!("bad request: {msg}")))?;
+                        out.send()?;
                         return Err(NetError::Malformed(msg));
                     }
                 }
             }
         }
-        writer.flush()?;
         if let Some(violation) = framing_violation {
-            reply(&mut writer, &Response::Error(violation.to_string()))?;
-            writer.flush()?;
+            out.reply(&Response::Error(violation.to_string()))?;
+            out.send()?;
             return Err(violation);
         }
+        out.send()?;
     }
-}
-
-/// Encode and frame one response. The `net.frame.torn` fault point
-/// cuts the frame mid-payload (header + a prefix reach the wire) and
-/// fails, which drops the connection — the torn-write failure mode a
-/// crashing server produces.
-fn reply(w: &mut impl Write, resp: &Response) -> Result<(), NetError> {
-    let mut payload = Vec::new();
-    resp.encode(&mut payload);
-    if faultpoint::fire("net.frame.torn") {
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(&payload[..payload.len() / 2])?;
-        w.flush()?;
-        return Err(NetError::Io(io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            "injected torn frame",
-        )));
-    }
-    write_frame(w, &payload)?;
-    Ok(())
 }
 
 fn unknown_structure(shared: &Shared, id: u16) -> String {
@@ -726,20 +779,21 @@ fn point_op(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Drive a windowed cursor over `[lo, hi]`, writing one `ScanWindow`
-/// frame per validated window and a final `ScanDone`. Bounded memory
-/// (one window), bounded retry work per window (cursor contract), and
-/// a flush per window so the client sees the stream progress while the
-/// scan is still running. Returns `false` if the stream was abandoned
-/// because the server began shutting down (the caller drops the
-/// connection).
+/// Drive a windowed cursor over `[lo, hi]`, framing one `ScanWindow`
+/// per validated window and a final `ScanDone` into the out-buffer.
+/// Bounded memory (one window, and an out-buffer sent whenever it
+/// reaches [`SCAN_HIGH_WATER`] — so the client sees the stream progress
+/// while the scan is still running), bounded retry work per window
+/// (cursor contract), and a send at `ScanDone`. Returns `false` if the
+/// stream was abandoned because the server began shutting down (the
+/// caller drops the connection).
 fn stream_scan(
     set: &dyn ConcurrentOrderedSet,
     lo: u64,
     hi: u64,
     window: u64,
     shared: &Shared,
-    writer: &mut BufWriter<TcpStream>,
+    out: &mut OutBuf<impl Write>,
 ) -> Result<bool, NetError> {
     let window = window.clamp(1, MAX_SCAN_WINDOW);
     let mut cursor = set.scan(lo, hi, ScanOpts::windowed(window));
@@ -748,11 +802,13 @@ fn stream_scan(
     loop {
         // ord: lifecycle flag, polled once per window
         if shared.shutdown.load(Ordering::SeqCst) {
+            out.send()?;
             return Ok(false);
         }
         // Injected mid-stream kill: the client got some windows, then
         // the connection vanished without a ScanDone.
         if faultpoint::fire("net.scan.drop") {
+            out.send()?;
             return Err(NetError::Io(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
                 "injected connection drop mid-scan-stream",
@@ -763,13 +819,14 @@ fn stream_scan(
             ScanStep::Emitted { .. } => {
                 attempts = 0;
                 let resp = Response::ScanWindow(std::mem::take(&mut pairs));
-                reply(writer, &resp)?;
-                writer.flush()?;
+                out.reply(&resp)?;
+                if out.buf.len() >= SCAN_HIGH_WATER {
+                    out.send()?;
+                }
                 // Reclaim the window buffer for the next attempt.
-                let Response::ScanWindow(mut v) = resp else {
+                let Response::ScanWindow(v) = resp else {
                     unreachable!()
                 };
-                v.clear();
                 pairs = v;
             }
             ScanStep::Retry => {
@@ -783,10 +840,100 @@ fn stream_scan(
                 }
             }
             ScanStep::Done => {
-                reply(writer, &Response::ScanDone)?;
-                writer.flush()?;
+                out.reply(&Response::ScanDone)?;
+                out.send()?;
                 return Ok(true);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Value(0),
+            Response::Value(u64::MAX),
+            Response::Error("unknown structure id 9".to_string()),
+            Response::Error(String::new()),
+            // Longer than the u16 length field: the encoder truncates.
+            Response::Error("é".repeat(40_000)),
+            Response::ScanWindow(vec![]),
+            Response::ScanWindow(vec![(1, 2), (3, 4)]),
+            Response::ScanWindow((0..MAX_SCAN_WINDOW).map(|k| (k, k + 1)).collect()),
+            Response::ScanDone,
+            Response::Busy,
+            Response::Stats(NetStats {
+                active_sessions: 1,
+                total_sessions: 2,
+                shed_sessions: 3,
+                idle_evictions: 4,
+                session_errors: 5,
+                clean_drains: 6,
+                scans_rejected: 7,
+                batches: 8,
+                batched_ops: u64::MAX,
+            }),
+        ]
+    }
+
+    /// The out-buffer frames responses in place byte-for-byte as
+    /// `write_frame(encode(resp))` does, and `net.frame.torn` leaves the
+    /// earlier complete frames on the wire ahead of exactly a header and
+    /// half a payload. One test, because the fault registry is global.
+    #[test]
+    fn in_place_framing_matches_write_frame_and_tears_after_complete_frames() {
+        faultpoint::clear();
+        let mut out = OutBuf::new(Vec::new());
+        let mut expected = Vec::new();
+        for resp in every_response() {
+            let mut payload = Vec::new();
+            resp.encode(&mut payload);
+            write_frame(&mut expected, &payload).unwrap();
+            let start = out.buf.len();
+            out.reply(&resp).unwrap();
+            assert_eq!(out.buf[start..], expected[start..], "{resp:?}");
+        }
+        assert!(out.sock.is_empty(), "reply() buffers; only send() writes");
+        out.send().unwrap();
+        assert_eq!(out.sock, expected);
+        assert!(out.buf.is_empty());
+        let mut asm = FrameAssembler::new();
+        asm.extend(&out.sock);
+        for resp in every_response() {
+            let mut want = Vec::new();
+            resp.encode(&mut want);
+            let got = asm.next_frame_with(Response::decode).unwrap().unwrap();
+            assert_eq!(got.unwrap(), Response::decode(&want).unwrap());
+        }
+        assert_eq!(asm.pending_bytes(), 0);
+
+        // Two complete frames, then the third reply tears.
+        faultpoint::configure("net.frame.torn=once:3", faultpoint::DEFAULT_SEED).unwrap();
+        let mut out = OutBuf::new(Vec::new());
+        out.reply(&Response::Value(7)).unwrap();
+        out.reply(&Response::Busy).unwrap();
+        let torn = Response::ScanWindow(vec![(1, 1), (2, 2), (3, 3)]);
+        assert!(
+            out.reply(&torn).is_err(),
+            "the injected tear fails the reply"
+        );
+        faultpoint::clear();
+        let mut complete = Vec::new();
+        for resp in [Response::Value(7), Response::Busy] {
+            let mut payload = Vec::new();
+            resp.encode(&mut payload);
+            write_frame(&mut complete, &payload).unwrap();
+        }
+        let mut payload = Vec::new();
+        torn.encode(&mut payload);
+        assert_eq!(out.sock[..complete.len()], complete[..]);
+        let tail = &out.sock[complete.len()..];
+        assert_eq!(tail.len(), 4 + payload.len() / 2);
+        assert_eq!(tail[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(tail[4..], payload[..payload.len() / 2]);
+        assert!(out.buf.is_empty(), "the torn buffer was sent");
     }
 }

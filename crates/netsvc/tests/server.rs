@@ -1,10 +1,12 @@
 //! Behavioral server tests: scan streaming, disconnect resilience,
 //! batching, and concurrent clients with conservation laws.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use conc_set::StructureSpec;
-use netsvc::codec::Request;
+use netsvc::codec::{read_frame, write_frame, Request};
 use netsvc::{Client, Response, Server, ServerConfig};
 
 fn spawn_server(specs: &str) -> Server {
@@ -124,22 +126,37 @@ fn disconnect_mid_scan_stream_cleans_up_the_session() {
     let server = spawn_server("scx-multiset");
     let mut client = Client::connect(server.local_addr()).unwrap();
     // A large structure scanned one key per window produces far more
-    // stream frames than any socket buffer holds, so the server is
-    // necessarily still writing when the client hangs up.
-    for k in 0..2000u64 {
-        client.insert(0, k, 1).unwrap();
+    // stream bytes (20 000 frames of 25 B, about 500 KB) than the
+    // socket buffers hold, even with the server coalescing frames into
+    // 32 KiB writes, so the server is necessarily still writing when
+    // the client hangs up.
+    let keys = 20_000u64;
+    for burst in (0..keys).rev().collect::<Vec<_>>().chunks(500) {
+        for &k in burst {
+            client
+                .send(&Request::Insert {
+                    structure: 0,
+                    key: k,
+                    count: 1,
+                })
+                .unwrap();
+        }
+        client.flush().unwrap();
+        for _ in burst {
+            assert_eq!(client.recv().unwrap(), Response::Value(1));
+        }
     }
     client
         .send(&Request::RangeScan {
             structure: 0,
             lo: 0,
-            hi: 1999,
+            hi: keys - 1,
             window: 1,
         })
         .unwrap();
     client.flush().unwrap();
-    // Read a couple of windows to prove the stream started, then drop
-    // the connection mid-stream.
+    // Read a window to prove the stream started, then drop the
+    // connection mid-stream.
     match client.recv().unwrap() {
         Response::ScanWindow(w) => assert_eq!(w, vec![(0, 1)]),
         other => panic!("unexpected frame {other:?}"),
@@ -149,8 +166,63 @@ fn disconnect_mid_scan_stream_cleans_up_the_session() {
     // exit — no wedged thread, and the server keeps serving.
     await_sessions_drained(&server);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.len(0).unwrap(), 2000);
-    assert_eq!(client.range_count(0, 0, 1999).unwrap(), 2000);
+    assert_eq!(client.len(0).unwrap(), keys);
+    assert_eq!(client.range_count(0, 0, keys - 1).unwrap(), keys);
+    server.shutdown();
+}
+
+#[test]
+fn a_burst_larger_than_the_read_chunk_is_drained_and_answered_in_order() {
+    // The session reads 16 KiB at a time and drains the socket only
+    // after a read that filled the whole chunk. A single write of
+    // 1 200 pipelined Gets (15 B frames, 18 000 B) takes that path.
+    let server = spawn_server("scx-multiset");
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let distinct = 100u64;
+    let count_of = |k: u64| k % 13 + 1;
+    for k in 0..distinct {
+        assert_eq!(client.insert(0, k, count_of(k)).unwrap(), count_of(k));
+    }
+    let (batches_before, ops_before) = server.batch_stats();
+    let n = 1200u64;
+    let key_of = |i: u64| (i * 7) % distinct;
+    let mut wire = Vec::new();
+    let mut payload = Vec::new();
+    for i in 0..n {
+        payload.clear();
+        Request::Get {
+            structure: 0,
+            key: key_of(i),
+        }
+        .encode(&mut payload);
+        write_frame(&mut wire, &payload).unwrap();
+    }
+    assert!(
+        wire.len() > 16 * 1024,
+        "the burst must exceed one read chunk"
+    );
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    sock.write_all(&wire).unwrap();
+    for i in 0..n {
+        read_frame(&mut sock, &mut payload).unwrap();
+        assert_eq!(
+            Response::decode(&payload).unwrap(),
+            Response::Value(count_of(key_of(i))),
+            "reply {i} out of order"
+        );
+    }
+    let (batches, ops) = server.batch_stats();
+    let (batches, ops) = (batches - batches_before, ops - ops_before);
+    assert_eq!(ops, n, "every request accounted to a batch");
+    assert!(
+        batches >= n.div_ceil(64) && batches < ops,
+        "{batches} batches for {ops} ops at batch cap 64"
+    );
+    drop(sock);
+    drop(client);
     server.shutdown();
 }
 
