@@ -79,7 +79,8 @@
 #                  bound >= 3 in both legs.
 #   audit          ordering-discipline audit (tools/ordering-audit.sh):
 #                  every SeqCst/Relaxed site must carry a `// ord:`
-#                  justification or an allowlist entry
+#                  justification or an allowlist entry, and every
+#                  allowlist entry must still match a source file
 #   clippy         cargo clippy --workspace --all-targets -D warnings
 set -euo pipefail
 cd "$(dirname "$0")"

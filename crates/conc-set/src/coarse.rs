@@ -1,52 +1,39 @@
-//! Lock-based multiset baselines for the throughput experiments.
+//! [`CoarseMultiset`]: the trivially linearizable control.
 //!
-//! The paper motivates LLX/SCX by contrast with locks (§1: "locks are
-//! not fault-tolerant and are susceptible to problems such as
-//! deadlock"). The benchmark harness compares the LLX/SCX multiset
-//! against two lock-based designs with the same sequential
-//! specification (paper §5):
-//!
-//! * [`CoarseMultiset`] — one mutex around a `BTreeMap`; the strongest
-//!   single-threaded baseline and the worst scaler.
-//! * [`HandOverHandMultiset`] — a sorted singly-linked list with
-//!   per-node locks acquired hand-over-hand; fine-grained locking on the
-//!   same topology as the paper's list.
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-mod hoh;
-
-pub use hoh::HandOverHandMultiset;
+//! One mutex around a `BTreeMap` with the multiset semantics of paper
+//! §5. Every operation, scan windows included, runs under the one lock,
+//! so its histories are linearizable by construction. That makes it the
+//! reference the WGL and JIT checkers and the differential tests
+//! compare the lock-free structures against.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard};
 
-use parking_lot::Mutex;
+use crate::Window;
 
-/// A multiset behind a single mutex (sequential specification of paper
-/// §5, coarse-grained locking).
-pub struct CoarseMultiset<K> {
-    inner: Mutex<BTreeMap<K, u64>>,
+/// A multiset of `u64` keys behind a single mutex (sequential
+/// specification of paper §5, coarse-grained locking).
+#[derive(Default)]
+pub struct CoarseMultiset {
+    inner: Mutex<BTreeMap<u64, u64>>,
 }
 
-impl<K: Ord> Default for CoarseMultiset<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord> CoarseMultiset<K> {
+impl CoarseMultiset {
     /// An empty multiset.
     pub fn new() -> Self {
-        CoarseMultiset {
-            inner: Mutex::new(BTreeMap::new()),
-        }
+        Self::default()
+    }
+
+    /// The map, even if a panicking holder poisoned the lock: every
+    /// mutation below is one map call, so no holder can leave it torn.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, u64>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of occurrences of `key`.
-    pub fn get(&self, key: K) -> u64 {
-        self.inner.lock().get(&key).copied().unwrap_or(0)
+    pub fn get(&self, key: u64) -> u64 {
+        self.lock().get(&key).copied().unwrap_or(0)
     }
 
     /// Add `count` occurrences of `key`.
@@ -54,9 +41,9 @@ impl<K: Ord> CoarseMultiset<K> {
     /// # Panics
     ///
     /// Panics if `count == 0`.
-    pub fn insert(&self, key: K, count: u64) {
+    pub fn insert(&self, key: u64, count: u64) {
         assert!(count > 0, "Insert precondition: count > 0");
-        *self.inner.lock().entry(key).or_insert(0) += count;
+        *self.lock().entry(key).or_insert(0) += count;
     }
 
     /// Remove `count` occurrences of `key` if present; returns success.
@@ -64,9 +51,9 @@ impl<K: Ord> CoarseMultiset<K> {
     /// # Panics
     ///
     /// Panics if `count == 0`.
-    pub fn remove(&self, key: K, count: u64) -> bool {
+    pub fn remove(&self, key: u64, count: u64) -> bool {
         assert!(count > 0, "Delete precondition: count > 0");
-        let mut map = self.inner.lock();
+        let mut map = self.lock();
         match map.get_mut(&key) {
             Some(c) if *c > count => {
                 *c -= count;
@@ -82,12 +69,12 @@ impl<K: Ord> CoarseMultiset<K> {
 
     /// Total occurrences across all keys.
     pub fn len(&self) -> u64 {
-        self.inner.lock().values().sum()
+        self.lock().values().sum()
     }
 
     /// True if the multiset holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.lock().is_empty()
     }
 
     /// One scan window over `[from, hi]` (`from <= hi`,
@@ -95,15 +82,12 @@ impl<K: Ord> CoarseMultiset<K> {
     /// ascending, plus whether the range is exhausted, read under the
     /// structure's single mutex — trivially consistent, so always
     /// `Some`. `max_keys = usize::MAX` is the whole-range atomic scan.
-    pub fn try_scan_window(&self, from: K, hi: K, max_keys: usize) -> Option<(Vec<(K, u64)>, bool)>
-    where
-        K: Clone,
-    {
+    pub fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
         debug_assert!(from <= hi && max_keys > 0, "an empty scan window");
-        let map = self.inner.lock();
-        let mut pairs: Vec<(K, u64)> = Vec::new();
-        for (k, &c) in map.range(from..=hi) {
-            pairs.push((k.clone(), c));
+        let map = self.lock();
+        let mut pairs = Vec::new();
+        for (&k, &c) in map.range(from..=hi) {
+            pairs.push((k, c));
             if pairs.len() >= max_keys {
                 return Some((pairs, false));
             }
@@ -112,19 +96,12 @@ impl<K: Ord> CoarseMultiset<K> {
     }
 
     /// Collect `(key, count)` pairs in ascending key order.
-    pub fn to_vec(&self) -> Vec<(K, u64)>
-    where
-        K: Clone,
-    {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(k, &c)| (k.clone(), c))
-            .collect()
+    pub fn to_vec(&self) -> Vec<(u64, u64)> {
+        self.lock().iter().map(|(&k, &c)| (k, c)).collect()
     }
 }
 
-impl<K: Ord + Clone + fmt::Debug> fmt::Debug for CoarseMultiset<K> {
+impl fmt::Debug for CoarseMultiset {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.to_vec()).finish()
     }

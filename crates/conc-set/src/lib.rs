@@ -4,8 +4,8 @@
 //! The paper's point is that LLX/SCX is a *reusable* primitive: the
 //! multiset (§5) and the trees (§6) are two instances of one technique.
 //! This crate completes that story at the API level: every structure in
-//! the repository — the three LLX/SCX structures, the kCAS multiset the
-//! paper argues against, and the two lock-based baselines — implements
+//! the repository — the four LLX/SCX structures and the
+//! [`CoarseMultiset`] control, one mutex around a map — implements
 //! [`ConcurrentOrderedSet`], so workloads, benchmarks, stress tests and
 //! the linearizability harness are written once and run against the
 //! whole zoo.
@@ -33,8 +33,8 @@
 //!   visit a consistent snapshot of the whole range: multi-record
 //!   reads are exactly what the paper's VLX exists for (§1: a VLX over
 //!   `k` Data-records costs `k` reads), and each structure realizes
-//!   the snapshot with its own discipline (VLX, identity kCAS, or
-//!   locks). At quiescence a full-range fold therefore equals `len()`,
+//!   the snapshot with its own discipline (VLX, or the control's
+//!   lock). At quiescence a full-range fold therefore equals `len()`,
 //!   the second conservation law the [`stress`] harness checks.
 //! * **windowed** — [`scan`](ConcurrentOrderedSet::scan) returns a
 //!   [`ScanCursor`] that validates and emits the range in bounded
@@ -64,26 +64,29 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod coarse;
 pub mod scan;
 pub mod sharded;
 pub mod spec;
 pub mod stress;
 
+pub use coarse::CoarseMultiset;
 pub use scan::{ScanCursor, ScanIter, ScanOpts, ScanStats, ScanStep, Window};
 pub use sharded::ShardedSet;
 pub use spec::{selected_specs, SpecError, StructureSpec};
 
 use linearize::{OrderedSetOp, OrderedSetSpec};
 
-/// The largest key the trait accepts: [`u64::MAX`] is the kCAS
-/// multiset's tail-sentinel key and `u64::MAX - 1` is kept free as the
-/// exclusive upper bound, so every structure shares one key domain.
+/// The largest key the trait accepts. Every structure shares this one
+/// key domain, and netsvc rejects out-of-domain requests against it,
+/// so the value is part of the wire contract; widening it is a
+/// protocol change, not a local edit.
 pub const MAX_KEY: u64 = u64::MAX - 2;
 
-/// The largest occurrence count the trait accepts: kCAS cells steal the
-/// top two bits for descriptor tags, so counts are 62-bit
-/// ([`mwcas::MAX_VALUE`]).
-pub const MAX_COUNT: u64 = mwcas::MAX_VALUE;
+/// The largest occurrence count the trait accepts (`2^62 - 1`). Like
+/// [`MAX_KEY`], it is part of the wire contract: netsvc rejects larger
+/// counts before they reach a structure.
+pub const MAX_COUNT: u64 = (1 << 62) - 1;
 
 /// The uniform out-of-domain rejection shared by every trait
 /// implementation: one panic site and message for the whole zoo,
@@ -94,15 +97,15 @@ fn assert_in_domain(name: &str, key: u64, count: Option<u64>) {
     assert!(
         key <= MAX_KEY,
         "{name}: key {key} is outside the ConcurrentOrderedSet domain \
-         (keys must be <= MAX_KEY = u64::MAX - 2; the kCAS multiset \
-         reserves the top keys for its tail sentinel)"
+         (keys must be <= MAX_KEY = u64::MAX - 2, the key domain every \
+         structure and the netsvc wire protocol share)"
     );
     if let Some(count) = count {
         assert!(
             count <= MAX_COUNT,
             "{name}: count {count} is outside the ConcurrentOrderedSet \
-             domain (counts must be <= MAX_COUNT = 2^62 - 1; kCAS \
-             values are 62-bit)"
+             domain (counts must be <= MAX_COUNT = 2^62 - 1, the count \
+             domain every structure and the netsvc wire protocol share)"
         );
     }
 }
@@ -225,9 +228,8 @@ fn sweep<S: ConcurrentOrderedSet + ?Sized>(
 ///   with `lo <= key <= hi` in ascending key order, and the visited
 ///   pairs form a **consistent snapshot**: all of them held
 ///   simultaneously at one linearization point during the call
-///   (VLX-validated traversals on the LLX/SCX structures, an identity
-///   kCAS on the kCAS multiset, range lock-crabbing / the global lock
-///   on the lock-based ones). `lo > hi` is the empty range.
+///   (VLX-validated traversals on the LLX/SCX structures, the single
+///   lock on the coarse control). `lo > hi` is the empty range.
 /// * `scan(lo, hi, opts)` opens a [`ScanCursor`]: the same per-window
 ///   validation disciplines applied to bounded chunks. Every emitted
 ///   window is internally snapshot-consistent and certifies its own
@@ -237,15 +239,14 @@ fn sweep<S: ConcurrentOrderedSet + ?Sized>(
 ///
 /// # Key and count domain
 ///
-/// The trait's shared domain is keys `<=` [`MAX_KEY`] (`u64::MAX` is
-/// the kCAS multiset's tail-sentinel key) and counts `<=` [`MAX_COUNT`]
-/// (kCAS values are 62-bit; see the ROADMAP item on tagged-pointer
-/// widening for lifting this). Out-of-domain arguments are rejected
-/// uniformly — every implementation panics with the same message from
-/// one shared check, rather than per-structure asserts with divergent
-/// behavior — and [`validate`](ConcurrentOrderedSet::validate) sweeps
-/// the live contents against the same bounds before running
-/// structure-specific invariants.
+/// The trait's shared domain is keys `<=` [`MAX_KEY`] and counts `<=`
+/// [`MAX_COUNT`], the bounds netsvc enforces on the wire.
+/// Out-of-domain arguments are rejected uniformly — every
+/// implementation panics with the same message from one shared check,
+/// rather than per-structure asserts with divergent behavior — and
+/// [`validate`](ConcurrentOrderedSet::validate) sweeps the live
+/// contents against the same bounds before running structure-specific
+/// invariants.
 ///
 /// All operations are linearizable for every implementation in this
 /// workspace; the root `tests/linearizability.rs` checks each one
@@ -282,7 +283,7 @@ pub trait ConcurrentOrderedSet: Send + Sync {
     ///
     /// Each [`next_window`](ScanCursor::next_window) call makes exactly
     /// one validation attempt (the structure's own discipline: LLX the
-    /// window and VLX it, identity-kCAS it, or crab its lock span) and
+    /// window and VLX it, or read it under the control's lock) and
     /// either emits a validated window, reports a [`ScanStep::Retry`]
     /// for the caller to re-attempt **only that window**, or reports
     /// [`ScanStep::Done`]. The cursor resumes from the last emitted
@@ -480,7 +481,7 @@ impl<'s> dyn ConcurrentOrderedSet + 's {
 /// What a bare structure supplies to join the zoo. One generic
 /// [`ConcurrentOrderedSet`] impl over every `S: Backend` wraps it with
 /// everything the zoo shares — the domain check, the scan cursor and
-/// validation — written once for all seven backends.
+/// validation — written once for all five backends.
 ///
 /// Point ops take in-domain arguments (the adapter checks them first)
 /// and return occurrence deltas, per the trait contract.
@@ -582,79 +583,29 @@ impl Backend for multiset::Multiset<u64> {
     }
 }
 
-/// Identity-kCAS-validated windows.
-impl Backend for mwcas::KcasMultiset {
-    const NAME: &'static str = "kcas-multiset";
-    const COUNTING: bool = true;
-    #[inline]
-    fn get(&self, key: u64) -> u64 {
-        mwcas::KcasMultiset::get(self, key)
-    }
-    #[inline]
-    fn insert(&self, key: u64, count: u64) -> u64 {
-        mwcas::KcasMultiset::insert(self, key, count);
-        count
-    }
-    #[inline]
-    fn remove(&self, key: u64, count: u64) -> u64 {
-        u64::from(mwcas::KcasMultiset::remove(self, key, count)) * count
-    }
-    fn occurrences(&self) -> u64 {
-        mwcas::KcasMultiset::len(self)
-    }
-    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
-        mwcas::KcasMultiset::try_scan_window(self, from, hi, max_keys)
-    }
-}
-
 /// Each window reads under the structure's single mutex; never
 /// retries.
-impl Backend for lockbased::CoarseMultiset<u64> {
+impl Backend for CoarseMultiset {
     const NAME: &'static str = "coarse-multiset";
     const COUNTING: bool = true;
     #[inline]
     fn get(&self, key: u64) -> u64 {
-        lockbased::CoarseMultiset::get(self, key)
+        CoarseMultiset::get(self, key)
     }
     #[inline]
     fn insert(&self, key: u64, count: u64) -> u64 {
-        lockbased::CoarseMultiset::insert(self, key, count);
+        CoarseMultiset::insert(self, key, count);
         count
     }
     #[inline]
     fn remove(&self, key: u64, count: u64) -> u64 {
-        u64::from(lockbased::CoarseMultiset::remove(self, key, count)) * count
+        u64::from(CoarseMultiset::remove(self, key, count)) * count
     }
     fn occurrences(&self) -> u64 {
-        lockbased::CoarseMultiset::len(self)
+        CoarseMultiset::len(self)
     }
     fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
-        lockbased::CoarseMultiset::try_scan_window(self, from, hi, max_keys)
-    }
-}
-
-/// Window lock-crabbing: a bounded lock span per window.
-impl Backend for lockbased::HandOverHandMultiset<u64> {
-    const NAME: &'static str = "hoh-multiset";
-    const COUNTING: bool = true;
-    #[inline]
-    fn get(&self, key: u64) -> u64 {
-        lockbased::HandOverHandMultiset::get(self, key)
-    }
-    #[inline]
-    fn insert(&self, key: u64, count: u64) -> u64 {
-        lockbased::HandOverHandMultiset::insert(self, key, count);
-        count
-    }
-    #[inline]
-    fn remove(&self, key: u64, count: u64) -> u64 {
-        u64::from(lockbased::HandOverHandMultiset::remove(self, key, count)) * count
-    }
-    fn occurrences(&self) -> u64 {
-        lockbased::HandOverHandMultiset::len(self)
-    }
-    fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<Window> {
-        lockbased::HandOverHandMultiset::try_scan_window(self, from, hi, max_keys)
+        CoarseMultiset::try_scan_window(self, from, hi, max_keys)
     }
 }
 
@@ -750,16 +701,14 @@ const fn entry<S: Backend + Default + 'static>() -> (&'static str, Factory) {
 }
 
 /// Every structure in the workspace, in the order they appear in
-/// comparison tables: the three LLX/SCX structures first, then the kCAS
-/// rival, then the lock-based baselines.
-const REGISTRY: [(&str, Factory); 7] = [
+/// comparison tables: the LLX/SCX structures first, then the
+/// coarse-lock control.
+const REGISTRY: [(&str, Factory); 5] = [
     entry::<multiset::Multiset<u64>>(),
     entry::<trees::ChromaticTree<u64, u64>>(),
     entry::<trees::Bst<u64, u64>>(),
     entry::<trees::PatriciaTrie<u64>>(),
-    entry::<mwcas::KcasMultiset>(),
-    entry::<lockbased::HandOverHandMultiset<u64>>(),
-    entry::<lockbased::CoarseMultiset<u64>>(),
+    entry::<CoarseMultiset>(),
 ];
 
 /// Factories for every registered structure, in table order.
@@ -799,8 +748,6 @@ mod tests {
                 "chromatic",
                 "bst",
                 "patricia",
-                "kcas-multiset",
-                "hoh-multiset",
                 "coarse-multiset"
             ]
         );

@@ -3,9 +3,9 @@
 //!
 //! PR 3's `fold_range` gave every structure a consistent-snapshot range
 //! scan, but its retry granularity is the whole range: one concurrent
-//! writer anywhere in a 1024-key interval invalidates the entire
-//! VLX / identity-kCAS validation and restarts the scan from `lo`, so
-//! long scans under churn degrade toward livelock. This module trades
+//! writer anywhere in a 1024-key interval invalidates the entire VLX
+//! validation and restarts the scan from `lo`, so long scans under
+//! churn degrade toward livelock. This module trades
 //! whole-range atomicity for **per-window atomicity**: a
 //! [`ScanCursor`] validates and emits the range in bounded chunks, and
 //! a conflict restarts only the dirty window — the cursor resumes from
@@ -19,7 +19,7 @@
 //!   to completion (the `window = ∞` special case).
 //! * [`ScanOpts::windowed`]`(w)` — each emitted window of up to `w`
 //!   keys is internally snapshot-consistent (the structure LLX+VLXes
-//!   the window, identity-kCASes it, or crabs its lock span), and
+//!   the window, or the coarse control reads it under its lock), and
 //!   consecutive windows certify consecutive key intervals; different
 //!   windows may linearize at different points, with writers
 //!   interleaving at the boundaries.

@@ -205,6 +205,7 @@ impl<'v, 'g, const M: usize, I: fmt::Debug> fmt::Debug for ScxRequest<'v, 'g, M,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::TestRecord;
     use crate::Domain;
 
     #[test]
@@ -233,8 +234,8 @@ mod tests {
     fn nine_linked_llxs_panic() {
         let domain: Domain<1, u32> = Domain::new();
         let guard = crossbeam_epoch::pin();
-        let r = domain.alloc(1, [10]);
-        let snap = domain.llx(unsafe { &*r }, &guard).snapshot().unwrap();
+        let r = TestRecord::new(&domain, 1, [10]);
+        let snap = domain.llx(&r, &guard).snapshot().unwrap();
         let _ = ScxRequest::new(&[snap; 9], FieldId::new(0, 0), 1);
     }
 
@@ -243,8 +244,8 @@ mod tests {
     fn field_out_of_range_panics() {
         let domain: Domain<1, u32> = Domain::new();
         let guard = crossbeam_epoch::pin();
-        let r = domain.alloc(1, [10]);
-        let snap = domain.llx(unsafe { &*r }, &guard).snapshot().unwrap();
+        let r = TestRecord::new(&domain, 1, [10]);
+        let snap = domain.llx(&r, &guard).snapshot().unwrap();
         let _ = ScxRequest::new(&[snap], FieldId::new(0, 1), 1);
     }
 
@@ -253,8 +254,8 @@ mod tests {
     fn finalize_out_of_range_panics() {
         let domain: Domain<1, u32> = Domain::new();
         let guard = crossbeam_epoch::pin();
-        let r = domain.alloc(1, [10]);
-        let snap = domain.llx(unsafe { &*r }, &guard).snapshot().unwrap();
+        let r = TestRecord::new(&domain, 1, [10]);
+        let snap = domain.llx(&r, &guard).snapshot().unwrap();
         let _ = ScxRequest::new(&[snap], FieldId::new(0, 0), 1).finalize(1);
     }
 }

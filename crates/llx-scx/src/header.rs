@@ -320,8 +320,8 @@ mod tests {
     use super::*;
 
     /// A descriptor of its own for one test, with SCX 1 published.
-    fn fresh() -> (&'static Descriptor, u64) {
-        let d: &'static Descriptor = Box::leak(Box::default());
+    fn fresh() -> (Box<Descriptor>, u64) {
+        let d = Box::<Descriptor>::default();
         d.publish(1);
         (d, 1)
     }

@@ -260,6 +260,39 @@ impl<const M: usize, I> Domain<M, I> {
     }
 }
 
+/// A record a test allocates and never publishes, deallocated when the
+/// test ends, by unwinding too, so a `should_panic` test leaks nothing.
+#[cfg(test)]
+pub(crate) struct TestRecord<'d, const M: usize, I> {
+    domain: &'d Domain<M, I>,
+    ptr: *const DataRecord<M, I>,
+}
+
+#[cfg(test)]
+impl<'d, const M: usize, I> TestRecord<'d, M, I> {
+    pub(crate) fn new(domain: &'d Domain<M, I>, immutable: I, init: [u64; M]) -> Self {
+        let ptr = domain.alloc(immutable, init);
+        TestRecord { domain, ptr }
+    }
+}
+
+#[cfg(test)]
+impl<const M: usize, I> std::ops::Deref for TestRecord<'_, M, I> {
+    type Target = DataRecord<M, I>;
+    fn deref(&self) -> &DataRecord<M, I> {
+        // SAFETY: allocated by `new`, freed only by `drop`.
+        unsafe { &*self.ptr }
+    }
+}
+
+#[cfg(test)]
+impl<const M: usize, I> Drop for TestRecord<'_, M, I> {
+    fn drop(&mut self) {
+        // SAFETY: never published, so no other thread can reach it.
+        unsafe { self.domain.dealloc(self.ptr) };
+    }
+}
+
 /// Fig. 4 lines 12 and 15 for the SCX a non-dummy or dummy info word
 /// names: help it if it is in progress, and report whether it committed.
 /// An SCX that finished before it could be copied reads as committed.

@@ -141,10 +141,13 @@ mod tests {
 
     #[test]
     fn finalize_mask_indexing() {
+        // Only read, so the test thread's own descriptor serves.
+        let (desc, word) =
+            header::with_own(|tid| (header::descriptor(tid), header::info_word(tid, 1)));
         let rec = ScxRecord {
-            desc: Box::leak(Box::default()),
+            desc,
             seq: 1,
-            word: header::info_word(0, 1),
+            word,
             owner: false,
             len: 3,
             finalize_mask: 0b101,

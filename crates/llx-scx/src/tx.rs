@@ -260,9 +260,9 @@ mod tests {
     fn foreign_fresh_node_panics() {
         let domain: Domain<1, ()> = Domain::new();
         let guard = crossbeam_epoch::pin();
-        let a = domain.alloc((), [0]);
+        let a = crate::ops::TestRecord::new(&domain, (), [0]);
         let (tx, other) = (Tx::new(&domain, &guard), Tx::new(&domain, &guard));
-        tx.llx(unsafe { &*a }).unwrap();
+        tx.llx(&a).unwrap();
         unsafe { tx.commit(0, other.alloc((), [0]), None) };
     }
 }

@@ -8,8 +8,10 @@
 //! whereas SCX needs `k + 1`; the Harris construction implemented here
 //! needs `3k + 1` (each word costs an RDCSS install CAS *and* its
 //! completion CAS, plus the phase-2 CAS, plus one status CAS). The
-//! benchmark harness reports both the measured Harris cost and the
-//! analytic Sundell cost next to the measured SCX cost.
+//! test `stats::tests::uncontended_kcas_costs_3k_plus_1_cas` asserts
+//! that count for `k` up to 8, as the `llx-scx` crate's `ops::tests`
+//! assert SCX's `k + 1`; Sundell's `2k + 1` is the paper's analytic
+//! figure and is not implemented here.
 //!
 //! Values are limited to 62 bits: the two most significant bits
 //! distinguish plain values from descriptor pointers (see [`KcasCell`]).
@@ -32,20 +34,21 @@
 //!
 //! # Reclamation
 //!
-//! Descriptors are reclaimed through crossbeam-epoch plus a reference
-//! count, with the same protocol as the `llx-scx` crate's SCX-records;
-//! an RDCSS descriptor additionally holds a counted reference on its
-//! kCAS descriptor so any thread that can reach the former can safely
-//! reach the latter.
+//! A kCAS descriptor carries a reference count: its owner, each
+//! helper, each cell it is installed in and each RDCSS descriptor
+//! naming it hold one. The thread that drops the last reference claims
+//! the descriptor once and frees it through a crossbeam-epoch
+//! deferral, so a thread still pinned after reading its tagged word
+//! can finish helping. An RDCSS descriptor needs no count: its creator
+//! defers its free as soon as it has left its cell, and helpers reach
+//! it only while pinned.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod multiset;
 mod stats;
 pub(crate) mod sync;
 
-pub use multiset::KcasMultiset;
 pub use stats::{kcas_cas_count, kcas_reset_cas_count};
 
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

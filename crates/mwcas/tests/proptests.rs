@@ -1,9 +1,6 @@
-//! Property tests: kCAS against a sequential array model, and the kCAS
-//! multiset against a map model.
+//! Property test: kCAS against a sequential array model.
 
-use std::collections::BTreeMap;
-
-use mwcas::{kcas, KcasCell, KcasMultiset};
+use mwcas::{kcas, KcasCell};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,34 +52,5 @@ proptest! {
                 prop_assert_eq!(cell.read(&guard), model[i], "cell {}", i);
             }
         }
-    }
-
-    /// The kCAS multiset agrees with a map model sequentially.
-    #[test]
-    fn kcas_multiset_matches_model(
-        ops in proptest::collection::vec((0..3u8, 0..24u64, 1..4u64), 1..200)
-    ) {
-        let set = KcasMultiset::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for (op, key, count) in ops {
-            match op {
-                0 => {
-                    set.insert(key, count);
-                    *model.entry(key).or_insert(0) += count;
-                }
-                1 => {
-                    let want = match model.get_mut(&key) {
-                        Some(c) if *c > count => { *c -= count; true }
-                        Some(c) if *c == count => { model.remove(&key); true }
-                        _ => false,
-                    };
-                    prop_assert_eq!(set.remove(key, count), want);
-                }
-                _ => {
-                    prop_assert_eq!(set.get(key), model.get(&key).copied().unwrap_or(0));
-                }
-            }
-        }
-        prop_assert_eq!(set.to_vec(), model.into_iter().collect::<Vec<_>>());
     }
 }

@@ -340,12 +340,13 @@ fn every_registered_spec_serves_over_the_wire() {
     // One server over the whole zoo plus a sharded composite: the
     // structure-id space maps spec-list order, and each structure
     // round-trips an insert/get/scan through its own id.
-    let server = spawn_server(
-        "scx-multiset,chromatic,bst,patricia,kcas-multiset,hoh-multiset,coarse-multiset,sharded(patricia,4)",
-    );
-    assert_eq!(server.structure_names().len(), 8);
+    let specs: Vec<&str> = conc_set::backend_names()
+        .chain(["sharded(patricia,4)"])
+        .collect();
+    let server = spawn_server(&specs.join(","));
+    assert_eq!(server.structure_names().len(), specs.len());
     let mut client = Client::connect(server.local_addr()).unwrap();
-    for sid in 0..8u16 {
+    for sid in 0..specs.len() as u16 {
         assert_eq!(client.insert(sid, 11, 1).unwrap(), 1, "structure {sid}");
         assert_eq!(client.get(sid, 11).unwrap(), 1, "structure {sid}");
         assert_eq!(

@@ -8,7 +8,6 @@
 
 pub use linearize;
 pub use llx_scx;
-pub use lockbased;
 pub use multiset;
 pub use mwcas;
 pub use trees;

@@ -1,7 +1,7 @@
 //! Linearizability of every `ConcurrentOrderedSet` implementation,
 //! checked on real concurrent executions (paper Theorem 6 for the
-//! multiset; the §6 trees by the same technique; the kCAS and
-//! lock-based structures by their own arguments).
+//! multiset; the §6 trees by the same technique; the coarse-lock
+//! control trivially, every operation running under its one mutex).
 //!
 //! One parameterized test covers the whole zoo: the generic
 //! [`linearize::record_round`] driver records a history against each

@@ -4,6 +4,8 @@
 # Inventories every `SeqCst`/`Relaxed` memory-ordering use under crates/
 # and fails if any site lacks a same-line `// ord:` justification comment
 # or an allowlist entry (ci/ordering-allowlist.txt, path-prefix per line).
+# It also fails on a dead allowlist entry, one that matches no `.rs` file
+# under crates/, so an exemption cannot outlive the code it exempted.
 #
 # Rationale: the paper's proofs assume sequential consistency, and the
 # repo's discipline is "SeqCst until a proof says otherwise, Relaxed only
@@ -25,6 +27,41 @@ cd "$(dirname "$0")/.."
 allowlist=ci/ordering-allowlist.txt
 [ -f "$allowlist" ] || { echo "missing $allowlist" >&2; exit 2; }
 
+patterns=()
+while IFS= read -r pat; do
+    [ -z "$pat" ] && continue
+    case "$pat" in '#'*) continue ;; esac
+    patterns+=("$pat")
+done < "$allowlist"
+
+# True if path $1 falls under an allowlist entry; entries are globs,
+# matched as path prefixes.
+allowlisted() {
+    local pat
+    for pat in "${patterns[@]}"; do
+        # shellcheck disable=SC2254  # unquoted on purpose: allowlist entries are globs
+        case "$1" in $pat*) return 0 ;; esac
+    done
+    return 1
+}
+
+mapfile -t sources < <(find crates -name '*.rs' -type f | LC_ALL=C sort)
+dead=""
+for pat in "${patterns[@]}"; do
+    live=
+    for src in "${sources[@]}"; do
+        # shellcheck disable=SC2254  # unquoted on purpose: allowlist entries are globs
+        case "$src" in $pat*) live=1; break ;; esac
+    done
+    [ -n "$live" ] || dead="${dead}  ${pat}
+"
+done
+if [ -n "$dead" ]; then
+    printf 'dead allowlist entries (match no .rs file under crates/):\n%s' "$dead"
+    echo "ordering audit FAILED: delete the dead entries from $allowlist" >&2
+    exit 1
+fi
+
 total=0
 unannotated=0
 violations=""
@@ -35,14 +72,7 @@ while IFS= read -r hit; do
     line=${rest%%:*}
     text=${rest#*:}
 
-    allowed=
-    while IFS= read -r pat; do
-        [ -z "$pat" ] && continue
-        case "$pat" in '#'*) continue ;; esac
-        # shellcheck disable=SC2254  # unquoted on purpose: allowlist entries are globs
-        case "$file" in $pat*) allowed=1; break ;; esac
-    done < "$allowlist"
-    [ -n "$allowed" ] && continue
+    allowlisted "$file" && continue
 
     # Strip leading whitespace for classification.
     trimmed="${text#"${text%%[![:space:]]*}"}"
