@@ -22,7 +22,10 @@
 #                  scans under churn, per-window conservation laws
 #                  checked mid-churn) at windows 3 and 16 in release and
 #                  4 in debug, so the debug-only detectors
-#                  soak the cursor paths
+#                  soak the cursor paths; and in release, where the
+#                  walk's prefetch and buffer sizing are optimised as
+#                  shipped, the deep-structure model agreement and the
+#                  per-window allocation count (tests/scan_alloc.rs)
 #   shard          the sharded scale-out facade: linearizability, stress
 #                  conservation, scan-cursor edge cases and the sharded
 #                  integration suite all at LLX_STRUCT='sharded(patricia,4)'
@@ -157,19 +160,23 @@ stage_debug_stress() {
 }
 
 stage_scanwin() {
-    # Only the tests that read LLX_SCAN_WINDOW; the `test` stage runs
-    # every other scan test. The stress harness asserts the per-window
+    # The tests that read LLX_SCAN_WINDOW; the `test` stage runs every
+    # other scan test in debug. The stress harness asserts the per-window
     # conservation laws on every emitted window (tiling, in-window
     # ascent and bounds, key budget, positive counts) plus the quiescent
     # windowed-scan = len() law. Release: tiny windows (maximal boundary
-    # count) and mid-size. Debug: the update-CAS detector and the
-    # Data-record lifecycle check only exist under debug_assertions.
+    # count) and mid-size, then the deep-structure model agreement and
+    # the per-window allocation count, which test the walk's prefetch
+    # and buffer sizing as optimised. Debug: the update-CAS detector and
+    # the Data-record lifecycle check only exist under debug_assertions.
     local tests=(--test conc_stress --test scan_cursor --
         every_structure_balances_under_windowed_scans windowed_scans_survive_concurrent_churn)
     local w
     for w in 3 16; do
         LLX_SCAN_WINDOW=$w LLX_STRESS_MILLIS=300 cargo test -q --release -p llx-scx-repro "${tests[@]}"
     done
+    cargo test -q --release -p llx-scx-repro --test scan_alloc --test scan_cursor -- \
+        window_allocations_do_not_grow_with_the_window deep_structures_agree_with_a_model_at_every_window
     LLX_SCAN_WINDOW=4 LLX_STRESS_MILLIS=250 cargo test -q -p llx-scx-repro "${tests[@]}"
 }
 

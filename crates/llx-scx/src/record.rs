@@ -122,6 +122,34 @@ impl<const M: usize, I> DataRecord<M, I> {
         self.head.marked.load(Ordering::SeqCst) // ord: SC marked read (paper Fig. 4)
     }
 
+    /// Hint the CPU to start loading this whole record into cache (every
+    /// line its `size_of::<Self>()` bytes touch), so that a traversal
+    /// about to LLX it overlaps that miss with the current one.
+    ///
+    /// A hint, not a step: it reads nothing the algorithm sees, so LLX,
+    /// SCX and VLX step counts are unchanged. It does nothing off
+    /// x86_64 and under `--cfg llx_model`.
+    #[inline]
+    pub fn prefetch(&self) {
+        #[cfg(all(target_arch = "x86_64", not(llx_model)))]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            const LINE: usize = 64;
+            let base = (self as *const Self).cast::<i8>();
+            let size = std::mem::size_of::<Self>();
+            // The record's first byte's line up to its last byte's line.
+            let skew = base.addr() % LINE;
+            let mut off = 0;
+            while off < skew + size {
+                // SAFETY: a prefetch never faults and has no
+                // architectural effect; `wrapping_sub`/`wrapping_add`
+                // keep the address arithmetic defined.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_sub(skew).wrapping_add(off)) };
+                off += LINE;
+            }
+        }
+    }
+
     /// Number of mutable fields, `M`.
     #[inline]
     pub fn num_mutable_fields(&self) -> usize {

@@ -46,6 +46,11 @@ use llx_scx::{DataRecord, Domain, FieldId, Guard, LlxResult, ScxRequest};
 const COUNT: usize = 0;
 const NEXT: usize = 1;
 
+/// A scan window's buffers are sized up front for at most this many
+/// keys, so an atomic scan (`max_keys = usize::MAX`) grows past it
+/// instead of reserving for the whole key space.
+const SCAN_PRESIZE_KEYS: usize = 1024;
+
 type Node<K> = DataRecord<2, SentinelKey<K>>;
 
 /// A linearizable, non-blocking multiset of keys (paper §5).
@@ -384,8 +389,12 @@ impl<K: Copy + Ord> Multiset<K> {
         let LlxResult::Snapshot(mut cur) = self.domain.llx(p, &guard) else {
             return None;
         };
-        let mut snaps = vec![cur];
-        let mut out: Vec<(K, u64)> = Vec::new();
+        // Sized from the key budget (the predecessor plus one snapshot
+        // per collected node), capped so an atomic scan grows instead.
+        let budget = max_keys.min(SCAN_PRESIZE_KEYS);
+        let mut snaps = Vec::with_capacity(budget + 1);
+        snaps.push(cur);
+        let mut out: Vec<(K, u64)> = Vec::with_capacity(budget);
         let mut end = true;
         loop {
             let next_word = cur.value(NEXT);

@@ -682,7 +682,14 @@ fn session(stream: TcpStream, shared: &Shared, cfg: &SessionCfg) -> Result<Sessi
                                 };
                                 match slot {
                                     Some(_slot) => {
-                                        if !stream_scan(&**set, lo, hi, window, shared, &mut out)? {
+                                        if !stream_scan(
+                                            &**set,
+                                            lo,
+                                            hi,
+                                            window,
+                                            &shared.shutdown,
+                                            &mut out,
+                                        )? {
                                             // Aborted for shutdown:
                                             // drop the connection, the
                                             // process is going away.
@@ -784,24 +791,26 @@ fn point_op(shared: &Shared, req: &Request) -> Response {
 /// Bounded memory (one window, and an out-buffer sent whenever it
 /// reaches [`SCAN_HIGH_WATER`] — so the client sees the stream progress
 /// while the scan is still running), bounded retry work per window
-/// (cursor contract), and a send at `ScanDone`. Returns `false` if the
-/// stream was abandoned because the server began shutting down (the
-/// caller drops the connection).
+/// (cursor contract), and a send at `ScanDone`. The first window is
+/// sent at once, so the client's first keys do not wait for the
+/// high-water mark. Returns `false` if the stream was abandoned
+/// because `shutdown` was set (the caller drops the connection).
 fn stream_scan(
     set: &dyn ConcurrentOrderedSet,
     lo: u64,
     hi: u64,
     window: u64,
-    shared: &Shared,
+    shutdown: &AtomicBool,
     out: &mut OutBuf<impl Write>,
 ) -> Result<bool, NetError> {
     let window = window.clamp(1, MAX_SCAN_WINDOW);
     let mut cursor = set.scan(lo, hi, ScanOpts::windowed(window));
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(window as usize);
     let mut attempts = 0u32;
+    let mut first = true;
     loop {
         // ord: lifecycle flag, polled once per window
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             out.send()?;
             return Ok(false);
         }
@@ -820,8 +829,9 @@ fn stream_scan(
                 attempts = 0;
                 let resp = Response::ScanWindow(std::mem::take(&mut pairs));
                 out.reply(&resp)?;
-                if out.buf.len() >= SCAN_HIGH_WATER {
+                if first || out.buf.len() >= SCAN_HIGH_WATER {
                     out.send()?;
+                    first = false;
                 }
                 // Reclaim the window buffer for the next attempt.
                 let Response::ScanWindow(v) = resp else {
@@ -879,12 +889,18 @@ mod tests {
         ]
     }
 
+    /// The fault registry is process-wide and every `OutBuf::reply`
+    /// fires `net.frame.torn`: tests that reply hold this lock, so one
+    /// arming a fault cannot tear another's frames.
+    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// The out-buffer frames responses in place byte-for-byte as
     /// `write_frame(encode(resp))` does, and `net.frame.torn` leaves the
     /// earlier complete frames on the wire ahead of exactly a header and
-    /// half a payload. One test, because the fault registry is global.
+    /// half a payload.
     #[test]
     fn in_place_framing_matches_write_frame_and_tears_after_complete_frames() {
+        let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
         faultpoint::clear();
         let mut out = OutBuf::new(Vec::new());
         let mut expected = Vec::new();
@@ -935,5 +951,87 @@ mod tests {
         assert_eq!(tail[..4], (payload.len() as u32).to_le_bytes());
         assert_eq!(tail[4..], payload[..payload.len() / 2]);
         assert!(out.buf.is_empty(), "the torn buffer was sent");
+    }
+
+    /// A socket that records every `write` call as one chunk.
+    #[derive(Default)]
+    struct RecordingSink(Vec<Vec<u8>>);
+
+    impl Write for RecordingSink {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A scan stream's write schedule: the first `ScanWindow` goes out
+    /// alone and at once, later windows coalesce up to
+    /// `SCAN_HIGH_WATER`, and the last write carries `ScanDone`. The
+    /// bytes are the frames an uncoalesced stream would send.
+    #[test]
+    fn stream_scan_sends_the_first_window_at_once_then_coalesces() {
+        let _faults = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+        faultpoint::clear();
+        let set = StructureSpec::parse("chromatic").unwrap().build();
+        let keys: Vec<u64> = (0..5_000).map(|i| 2 * i).collect();
+        for &k in &keys {
+            set.insert(k, 1);
+        }
+        let (lo, hi, window) = (0, 2 * 5_000, 256);
+        let mut out = OutBuf::new(RecordingSink::default());
+        assert!(stream_scan(&*set, lo, hi, window, &AtomicBool::new(false), &mut out).unwrap());
+        assert!(out.buf.is_empty(), "the stream ends sent");
+        let writes = &out.sock.0;
+
+        let frame = |resp: &Response| {
+            let mut payload = Vec::new();
+            resp.encode(&mut payload);
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &payload).unwrap();
+            bytes
+        };
+        let windows: Vec<Response> = keys
+            .chunks(window as usize)
+            .map(|c| Response::ScanWindow(c.iter().map(|&k| (k, 1)).collect()))
+            .collect();
+        let first = frame(&windows[0]);
+        let done = frame(&Response::ScanDone);
+        let expected: Vec<u8> = windows
+            .iter()
+            .flat_map(frame)
+            .chain(done.iter().copied())
+            .collect();
+
+        assert!(
+            writes.len() >= 3,
+            "first, coalesced, last: {}",
+            writes.len()
+        );
+        assert_eq!(
+            writes[0], first,
+            "the first write is the first window alone"
+        );
+        for (i, w) in writes.iter().enumerate().take(writes.len() - 1).skip(1) {
+            assert!(
+                w.len() >= SCAN_HIGH_WATER,
+                "write {i} of {} bytes is under the high-water mark",
+                w.len()
+            );
+        }
+        assert!(
+            writes.last().unwrap().ends_with(&done),
+            "the last write ends the stream"
+        );
+        assert_eq!(writes.concat(), expected, "coalescing changes no byte");
+        let mut asm = FrameAssembler::new();
+        asm.extend(&writes.concat());
+        for want in windows.iter().chain([&Response::ScanDone]) {
+            let got = asm.next_frame_with(Response::decode).unwrap().unwrap();
+            assert_eq!(&got.unwrap(), want);
+        }
+        assert_eq!(asm.pending_bytes(), 0);
     }
 }

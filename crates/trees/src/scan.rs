@@ -25,10 +25,31 @@
 //! `[from, last_key]` — the per-window atomicity the
 //! `conc-set` scan-cursor API is built on. `max_keys = usize::MAX`
 //! recovers the whole-range atomic scan.
+//!
+//! **Memory-level parallelism.** A tree too large for the private
+//! caches turns the walk into a serial pointer chase: each LLX waits
+//! out the previous node's miss. The walk therefore prefetches
+//! ([`DataRecord::prefetch`]) every child as it is pushed, and the new
+//! stack top on every pop. In DFS order the stack top is the next node
+//! visited whenever the popped node is a leaf, and a pushed right child
+//! is visited after its left sibling's subtree, so its miss overlaps
+//! that subtree's work (greedy prefetching; Luk & Mowry, ASPLOS 1996).
+//! A prefetch is a hint, not a shared-memory step: the LLX and VLX
+//! counts are the paper's. The window's buffers are sized from the key
+//! budget up front rather than regrown from empty.
 
 use llx_scx::{DataRecord, Domain, Guard, Llx};
 
 use crate::node::{is_leaf, Node, TreeDomain, TreeKey, LEFT, RIGHT};
+
+/// Window buffers are sized up front for at most this many keys, so an
+/// atomic scan (`max_keys = usize::MAX`) grows past it instead of
+/// reserving for the whole key space.
+const PRESIZE_KEYS: usize = 1024;
+
+/// Walk depth the stack (and the boundary-path slack of the snapshot
+/// buffer) is sized for; deeper walks grow the buffers.
+const STACK_DEPTH: usize = 64;
 
 /// What the windowed walk does at one visited (and LLXed) node.
 pub(crate) enum Visit<'g, N, K, V> {
@@ -60,10 +81,18 @@ pub(crate) fn try_collect_window<'g, const M: usize, I, K: Copy + Ord, V>(
     classify: Classify<'_, 'g, M, I, K, V>,
 ) -> Option<(Vec<(K, V)>, bool)> {
     debug_assert!(max_keys > 0, "a scan window covers at least one key");
-    let mut snaps: Vec<Llx<'g, M, I>> = Vec::new();
-    let mut out: Vec<(K, V)> = Vec::new();
-    let mut stack: Vec<&DataRecord<M, I>> = vec![start];
+    let budget = max_keys.min(PRESIZE_KEYS);
+    // A window visits its leaves, about as many internal nodes between
+    // them, and the two boundary paths.
+    let mut snaps: Vec<Llx<'g, M, I>> = Vec::with_capacity(2 * budget + 2 * STACK_DEPTH);
+    let mut out: Vec<(K, V)> = Vec::with_capacity(budget);
+    let mut stack: Vec<&DataRecord<M, I>> = Vec::with_capacity(STACK_DEPTH);
+    stack.push(start);
     while let Some(n) = stack.pop() {
+        // Next after `n` whenever `n` is a leaf: start its miss now.
+        if let Some(top) = stack.last() {
+            top.prefetch();
+        }
         let s = domain.llx(n, guard).snapshot()?;
         let visit = classify(n, &s);
         snaps.push(s);
@@ -77,6 +106,7 @@ pub(crate) fn try_collect_window<'g, const M: usize, I, K: Copy + Ord, V>(
             Visit::Leaf(None) => {}
             Visit::Push(children) => {
                 for c in children.into_iter().flatten() {
+                    c.prefetch();
                     stack.push(c);
                 }
             }

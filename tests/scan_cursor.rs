@@ -307,3 +307,82 @@ fn windowed_scans_survive_concurrent_churn() {
         let _ = retries; // any value is legal; wedging is the failure mode
     }
 }
+
+/// Deep structures at quiescence: every window size and the atomic
+/// scan agree with a `BTreeMap` model of the same seeded operations.
+/// About 20 000 keys, so the tree walks build the deep stacks (and
+/// prefetch along them) that a handful of keys never reaches.
+#[test]
+fn deep_structures_agree_with_a_model_at_every_window() {
+    const KEYS: usize = 20_000;
+    const CHURN: usize = 4_000;
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        // SplitMix64.
+        rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    // Random 48-bit keys: full-depth tries and randomly shaped trees.
+    let pool: Vec<u64> = (0..KEYS + KEYS / 5).map(|_| next() >> 16).collect();
+    let churn: Vec<(bool, u64)> = (0..CHURN)
+        .map(|_| (next() & 1 == 0, pool[(next() % pool.len() as u64) as usize]))
+        .collect();
+    let mut sorted = pool.clone();
+    sorted.sort_unstable();
+    let ranges = [
+        (0, u64::MAX),
+        (sorted[KEYS / 4], sorted[KEYS / 2]),
+        (sorted[KEYS / 3] + 1, sorted[KEYS / 3 + 300]),
+        (sorted[KEYS / 2] + 1, sorted[KEYS / 2 + 1] - 1),
+    ];
+    for spec in conc_set::selected_specs() {
+        let set = spec.build();
+        let name = set.name();
+        let counting = set.counting();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut apply = |insert: bool, k: u64| {
+            if insert {
+                set.insert(k, 1);
+                let c = model.entry(k).or_insert(0);
+                *c = if counting { *c + 1 } else { 1 };
+            } else if set.remove(k, 1) == 1 {
+                let c = model.get_mut(&k).expect("removed a key the model lacks");
+                *c -= 1;
+                if *c == 0 {
+                    model.remove(&k);
+                }
+            } else {
+                assert!(!model.contains_key(&k), "{name}: remove of {k} missed");
+            }
+        };
+        for &k in &pool[..KEYS] {
+            apply(true, k);
+        }
+        for &(insert, k) in &churn {
+            apply(insert, k);
+        }
+        set.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (lo, hi) in ranges {
+            let want: Vec<(u64, u64)> = model.range(lo..=hi).map(|(&k, &c)| (k, c)).collect();
+            for opts in [1, 3, 256, 4000]
+                .map(ScanOpts::windowed)
+                .into_iter()
+                .chain([ScanOpts::atomic()])
+            {
+                // Windows of one and three keys re-walk from the root
+                // per window; a few thousand of them cover the deep
+                // boundary paths.
+                if opts.window.is_some_and(|w| want.len() as u64 / w > 3_000) {
+                    continue;
+                }
+                assert!(
+                    drive(&*set, lo, hi, opts) == want,
+                    "{name}: [{lo}, {hi}] at {opts:?} disagrees with the model"
+                );
+            }
+        }
+    }
+}
