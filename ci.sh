@@ -17,7 +17,12 @@
 #                  longer churn phase: the update-CAS detector (one
 #                  win per SCX) and the Data-record lifecycle check
 #                  only exist under debug_assertions, and rare races
-#                  need soak time the tier-1 defaults don't give
+#                  need soak time the tier-1 defaults don't give; then
+#                  the reclamation binaries (shim collect/fault,
+#                  llx-scx recycle/reclaim/ownership/pool_stats, root
+#                  pool_handoff/reclaim_global) 5x in release at the
+#                  default test-thread count, so tests that share the
+#                  epoch shim and the pool run in parallel
 #   scanwin        the two tests that read LLX_SCAN_WINDOW (windowed
 #                  scans under churn, per-window conservation laws
 #                  checked mid-churn) at windows 3 and 16 in release and
@@ -157,6 +162,18 @@ stage_debug_stress() {
     # recycled node path the trees and multiset drive — get enough soak
     # to catch rare races, not just a smoke pass.
     LLX_STRESS_MILLIS=600 cargo test -q -p llx-scx -p trees -p multiset
+    # The reclamation binaries, 5x in release at the default test-thread
+    # count: their tests run in parallel with no lock between them, so
+    # each must hold whichever peer test collects, exits or hands off
+    # at the same time.
+    local i
+    for i in 1 2 3 4 5; do
+        echo "    reclamation binaries, release, round $i/5"
+        cargo test -q --release -p crossbeam-epoch --test collect --test fault
+        cargo test -q --release -p llx-scx --test recycle --test reclaim \
+            --test ownership --test pool_stats
+        cargo test -q --release -p llx-scx-repro --test pool_handoff --test reclaim_global
+    done
 }
 
 stage_scanwin() {

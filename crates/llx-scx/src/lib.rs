@@ -112,7 +112,8 @@ pub fn pin() -> Guard {
     crossbeam_epoch::pin()
 }
 
-/// Counters of the per-thread record pool (process-global, monotone).
+/// Counters of the per-thread record pool (process-global, monotone):
+/// each thread counts its own, and [`pool_stats`] sums them.
 ///
 /// The pool holds Data-records only (SCX-records are never allocated:
 /// each thread reuses one descriptor), so `hits + misses` is the number
@@ -130,9 +131,10 @@ pub struct PoolStats {
     /// retired Data-records.
     pub defers: u64,
     /// Records/blocks handed across threads: orphan adoptions at thread
-    /// exit plus hot-path shard steals (free blocks published by a
-    /// retire-heavy thread and adopted by an allocate-heavy one — the
-    /// pipeline-workload case).
+    /// exit plus shard steals (free blocks published by a retire-heavy
+    /// thread and adopted by an allocate-heavy one — the
+    /// pipeline-workload case). Threads that allocate what they retire
+    /// hand off nothing.
     pub handoffs: u64,
 }
 
@@ -176,14 +178,16 @@ impl PoolStats {
     }
 }
 
-/// A snapshot of the record pool counters; see [`PoolStats`].
+/// A snapshot of the record pool counters; see [`PoolStats`]. Each
+/// thread keeps its own counters; the snapshot sums every live thread's
+/// with the totals of threads that exited.
 pub fn pool_stats() -> PoolStats {
-    use crate::sync::Ordering;
+    let [hits, misses, defers, handoffs] = pool::stats();
     PoolStats {
-        hits: pool::POOL_HITS.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-        misses: pool::POOL_MISSES.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-        defers: pool::POOL_DEFERS.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
-        handoffs: pool::POOL_HANDOFFS.load(Ordering::Relaxed), // ord: stats counter snapshot; no sync role
+        hits,
+        misses,
+        defers,
+        handoffs,
     }
 }
 
@@ -192,31 +196,28 @@ pub fn pool_stats() -> PoolStats {
 /// yanks the baseline out from under every other snapshot holder —
 /// but a reset gives dedicated A/B harnesses clean absolute numbers.
 pub fn reset_pool_stats() {
-    use crate::sync::Ordering;
-    pool::POOL_HITS.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-    pool::POOL_MISSES.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-    pool::POOL_DEFERS.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
-    pool::POOL_HANDOFFS.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
+    pool::reset_stats();
 }
 
 /// Drive record reclamation to quiescence from the calling thread.
 ///
 /// Seals this thread's partially filled batch of retired Data-records,
 /// adopts records stranded by threads that exited mid-batch, and
-/// repeatedly flushes the epoch queue so deferred destructions run.
-/// Each `Guard::flush` also waits for closures another thread's
-/// collection is still running. So after all operations have ceased,
-/// all worker threads have joined and this has been called, every
-/// retired Data-record has been dropped and its block is back in a
-/// pool. SCX descriptors are never reclaimed; [`scx_descriptors`]
-/// counts them.
+/// repeatedly flushes the epoch shim, which runs this thread's own
+/// deferred destructions and those orphaned by exited threads (a live
+/// thread's batches mature only on that thread). Each `Guard::flush`
+/// also waits for closures another thread's collection is still
+/// running. So after all operations have ceased, all worker threads
+/// have joined and this has been called, every retired Data-record has
+/// been dropped and its block is back in a pool. SCX descriptors are
+/// never reclaimed; [`scx_descriptors`] counts them.
 ///
 /// Intended for tests and teardown paths; never required for safety.
 pub fn flush_reclamation() {
     for _ in 0..16 {
-        // Drain the global queue to empty (bounded: concurrent churn
-        // can legitimately keep refilling it — quiescence is only
-        // promised once workers have stopped). Each flush advances the
+        // Drain the backlog to empty (bounded: live threads can
+        // legitimately keep it above zero — quiescence is only promised
+        // once workers have stopped and exited). Each flush advances the
         // epoch, so work deferred by the closures we just ran becomes
         // ready on the following iteration.
         for _ in 0..64 {

@@ -26,12 +26,14 @@
 //!
 //! [`retire_data`] pushes the record onto the thread's destruction
 //! list; every [`LIMBO_BATCH`] entries share *one* `defer_unchecked`.
-//! When the batch matures each record is dropped in place and its block
-//! cached on the collecting thread's free list for its layout (or, past
-//! [`FREE_CAP`], handed to other threads; see below). [`dealloc_data`]
-//! (never published) drops in place and recycles at once. Allocation
-//! ([`alloc`]) pops from that free list and `ptr::write`s the fresh
-//! record into the block, skipping the allocator entirely.
+//! The epoch shim runs a deferred closure on the thread that deferred
+//! it, so when the batch matures each record is dropped in place and its
+//! block cached on the *retiring* thread's free list for its layout (or,
+//! past [`FREE_CAP`], handed to other threads; see below).
+//! [`dealloc_data`] (never published) drops in place and recycles at
+//! once. Allocation ([`alloc`]) pops from that free list and
+//! `ptr::write`s the fresh record into the block, skipping the allocator
+//! entirely.
 //!
 //! The epoch delay is **not** optional: reusing a record's address while
 //! any stale holder could still dereference it is the use-after-free the
@@ -43,16 +45,23 @@
 //! Thread exit with a partially filled batch parks the leftovers in a
 //! global orphan list; the next batch seal or
 //! [`crate::flush_reclamation`] adopts them with its caller's guard, so
-//! every retired record is eventually dropped exactly once.
+//! every retired record is eventually dropped exactly once. An atomic
+//! count lets the seal skip the orphan lock while the list is empty.
+//! Batches already deferred when a thread exits become the epoch shim's
+//! orphans and mature on whichever thread collects them.
+//!
+//! The counters behind [`crate::pool_stats`] are per thread too: each
+//! thread bumps its own cache line, and a snapshot sums the live
+//! threads' counters with the totals that exited threads left behind.
 //!
 //! # Cross-thread shard handoff
 //!
-//! Free lists are per-thread, but maturation runs on whichever thread
-//! collects — so whenever one thread retires what another allocates
-//! (pipelines, and any contended structure where helpers finish each
-//! other's SCXs) the collecting thread's free list fills to
-//! [`FREE_CAP`] while the allocating thread misses. The handoff closes
-//! that gap without sharing the free lists themselves:
+//! Free lists are per-thread, and a block returns to the thread that
+//! retired it — so whenever one thread retires what another allocates
+//! (pipelines, a thread that drops a whole structure, a thread that
+//! exits with deferred batches) the retiring thread's free list fills
+//! to [`FREE_CAP`] while the allocating thread misses. The handoff
+//! closes that gap without sharing the free lists themselves:
 //!
 //! * a matured block that finds its thread's free list full goes into
 //!   the thread's **outbox** for that layout; an outbox of
@@ -63,7 +72,11 @@
 //! * an allocating thread that misses its free list **steals a whole
 //!   shard** of the same layout before touching the allocator: one lock
 //!   acquisition amortized over a shard's worth of future allocations,
-//!   counted through `POOL_HANDOFFS`.
+//!   counted as `handoffs`.
+//!
+//! Threads that each allocate what they retire never overflow and hand
+//! off nothing; `llx-scx.pool_handoffs_per_op` in the repository
+//! benchmark records the rate per workload.
 //!
 //! # Why each mechanism is here, and why none has a switch
 //!
@@ -90,10 +103,10 @@
 //!   and pooled blocks of one layout are interchangeable, so bucketing
 //!   chose nothing but which mutex to take.
 
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::alloc::Layout;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, PoisonError};
 
 use crossbeam_epoch::Guard;
 
@@ -198,7 +211,7 @@ fn park_shard(layout: Layout, shard: Shard) {
 
 /// Steal one parked shard of `layout` for the current thread: returns a
 /// block to serve the triggering allocation and caches the rest on the
-/// local free list. Bumps `POOL_HANDOFFS` by the blocks adopted.
+/// local free list. Counts the blocks adopted as handoffs.
 fn steal_shard(layout: Layout) -> Option<*mut u8> {
     // Injected handoff failure: behave as if nothing were parked,
     // forcing the caller onto the allocator path. Parked shards stay
@@ -226,7 +239,7 @@ fn steal_shard(layout: Layout) -> Option<*mut u8> {
         .unwrap_or_else(|_| carry.take().unwrap_or_default());
     // Count only the blocks actually adopted (served + cached); spill
     // that goes straight back to the allocator is not a handoff.
-    POOL_HANDOFFS.fetch_add((total - spill.len()) as u64, Ordering::Relaxed); // ord: pool stats counter; no sync role
+    count(Stat::Handoffs, (total - spill.len()) as u64);
     free_blocks(spill, layout);
     Some(serve)
 }
@@ -289,7 +302,9 @@ impl Drop for ThreadPool {
         // thread can no longer pin (its epoch slot is being torn down):
         // park them for the next thread that seals a batch.
         if !self.destroy.is_empty() {
-            orphans().lock().unwrap().append(&mut self.destroy);
+            let mut orphans = orphans().lock().unwrap();
+            orphans.append(&mut self.destroy);
+            ORPHANED.store(orphans.len(), Ordering::Relaxed); // ord: orphan hint, written under the lock
         }
     }
 }
@@ -310,19 +325,97 @@ fn orphans() -> &'static Mutex<Vec<Pending>> {
     ORPHANS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Monotone counters for observability (`llx_scx::pool_stats`).
-/// `POOL_HITS` / `POOL_MISSES` count Data-record allocations;
-/// `POOL_DEFERS` counts sealed batches of retired records.
-pub(crate) static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static POOL_DEFERS: AtomicU64 = AtomicU64::new(0);
-/// Records/blocks moved across threads: orphan adoptions (records
-/// staged by an exited thread, matured by another) plus blocks adopted
-/// through the shard handoff (the hot path in pipeline-shaped
-/// workloads — one thread retires, another allocates).
-/// Surfaced in `StatsSnapshot` so the handoff rate is measurable per
-/// workload.
-pub(crate) static POOL_HANDOFFS: AtomicU64 = AtomicU64::new(0);
+/// Length of [`orphans`], written under its lock: a seal reads it to
+/// skip the lock while the list is empty.
+static ORPHANED: AtomicUsize = AtomicUsize::new(0);
+
+/// One pool counter (see [`crate::PoolStats`] for what each counts).
+#[derive(Clone, Copy)]
+enum Stat {
+    Hits,
+    Misses,
+    Defers,
+    Handoffs,
+}
+
+/// One thread's pool counters. Only the owning thread bumps them, so
+/// each sits on a cache line of its own and no update writes a line
+/// another thread writes.
+#[repr(align(64))]
+struct Counters([AtomicU64; 4]);
+
+/// Every live thread's [`Counters`], and the totals of threads that
+/// exited. [`crate::pool_stats`] sums both under the lock, so a thread
+/// exiting mid-snapshot is counted exactly once.
+struct Registry {
+    live: Vec<Arc<Counters>>,
+    exited: [u64; 4],
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    exited: [0; 4],
+});
+
+fn registry() -> crate::sync::MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The calling thread's counters; registered on first use and folded
+/// into the exited totals at thread exit.
+struct Owned(Arc<Counters>);
+
+impl Drop for Owned {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        for (total, c) in reg.exited.iter_mut().zip(&self.0 .0) {
+            *total += c.load(Ordering::Relaxed); // ord: pool stats counter; no sync role
+        }
+        reg.live.retain(|c| !Arc::ptr_eq(c, &self.0));
+    }
+}
+
+thread_local! {
+    static COUNTERS: Owned = {
+        let counters = Arc::new(Counters([const { AtomicU64::new(0) }; 4]));
+        registry().live.push(Arc::clone(&counters));
+        Owned(counters)
+    };
+}
+
+/// Add `n` to the calling thread's `stat`. A thread whose counters are
+/// already torn down adds to the exited totals.
+fn count(stat: Stat, n: u64) {
+    let bumped = COUNTERS.try_with(|c| {
+        c.0 .0[stat as usize].fetch_add(n, Ordering::Relaxed); // ord: pool stats counter; no sync role
+    });
+    if bumped.is_err() {
+        registry().exited[stat as usize] += n;
+    }
+}
+
+/// The pool counters summed over every thread, live and exited.
+pub(crate) fn stats() -> [u64; 4] {
+    let reg = registry();
+    let mut sum = reg.exited;
+    for c in &reg.live {
+        for (total, v) in sum.iter_mut().zip(&c.0) {
+            *total += v.load(Ordering::Relaxed); // ord: pool stats snapshot; no sync role
+        }
+    }
+    sum
+}
+
+/// Zero every thread's counters and the exited totals.
+pub(crate) fn reset_stats() {
+    let mut reg = registry();
+    reg.exited = [0; 4];
+    for c in &reg.live {
+        for v in &c.0 {
+            v.store(0, Ordering::Relaxed); // ord: pool stats reset; no sync role
+        }
+    }
+}
 
 /// Move `value` into a block of its layout — from the thread's free
 /// list when possible, else from a stolen parked shard, else from the
@@ -346,12 +439,14 @@ pub(crate) fn alloc<T>(value: T) -> *mut T {
             // allocator.
             .or_else(|| steal_shard(layout))
     };
-    let counter = if reused.is_some() {
-        &POOL_HITS
-    } else {
-        &POOL_MISSES
-    };
-    counter.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
+    count(
+        if reused.is_some() {
+            Stat::Hits
+        } else {
+            Stat::Misses
+        },
+        1,
+    );
     let block = reused.unwrap_or_else(|| {
         // SAFETY: `layout` has non-zero size (asserted above).
         let p = unsafe { std::alloc::alloc(layout) };
@@ -415,7 +510,7 @@ pub(crate) unsafe fn dealloc_data<const M: usize, I>(rec: *mut DataRecord<M, I>)
 /// Publish one batch; after the epoch expires, drop each record and
 /// recycle its block.
 fn defer_batch(batch: Vec<Pending>, guard: &Guard) {
-    POOL_DEFERS.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
+    count(Stat::Defers, 1);
 
     // SAFETY: each staged record was unlinked before it was retired; by
     // the time the closure runs, no thread pinned at defer time remains
@@ -440,10 +535,19 @@ pub(crate) fn seal_current_thread(guard: &Guard) {
 }
 
 /// Defer every parked orphan (records stranded by exited threads).
+/// Takes the orphan lock only when the count says there are some.
 pub(crate) fn drain_orphans(guard: &Guard) {
-    let parked = std::mem::take(&mut *orphans().lock().unwrap());
+    if ORPHANED.load(Ordering::Relaxed) == 0 {
+        // ord: orphan hint; a thread's exit is joined before its orphans are awaited
+        return;
+    }
+    let parked = {
+        let mut orphans = orphans().lock().unwrap();
+        ORPHANED.store(0, Ordering::Relaxed); // ord: orphan hint, written under the lock
+        std::mem::take(&mut *orphans)
+    };
     if !parked.is_empty() {
-        POOL_HANDOFFS.fetch_add(parked.len() as u64, Ordering::Relaxed); // ord: pool stats counter; no sync role
+        count(Stat::Handoffs, parked.len() as u64);
         defer_batch(parked, guard);
     }
 }

@@ -125,8 +125,9 @@ pub struct StatsSnapshot {
     /// Data-record allocations served from a recycled block.
     ///
     /// The four `pool_*` counters mirror [`crate::pool_stats`]: they
-    /// are **process-global** (the pool hands blocks between arbitrary
-    /// domains), unlike the per-domain counters above, and are
+    /// are **process-global** sums of every thread's pool counters (the
+    /// pool hands blocks between arbitrary domains), unlike the
+    /// per-domain counters above, and are
     /// captured here so one snapshot carries both the algorithm's step
     /// counts and the reclamation pool's efficacy. SCX-records are
     /// never allocated (each thread reuses one descriptor), so the pool

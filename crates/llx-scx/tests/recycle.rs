@@ -1,30 +1,18 @@
 //! The recycled Data-record path: `retire` and `dealloc` hand blocks
 //! back to the per-thread record pool, and only a record of the same
-//! layout ever reuses them.
-//!
-//! Which thread's free list a matured block lands on depends on which
-//! thread runs the epoch collection, and any thread in this binary that
-//! pins may collect. The tests therefore take a file-local lock, so the
-//! only collector is the test's own `flush_reclamation`.
+//! layout ever reuses them. A retired block matures on the thread that
+//! retired it, so the tests run in parallel: no other test thread can
+//! land this thread's blocks on its own free list.
 
 use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use llx_scx::{DataRecord, Domain};
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn retired_and_deallocated_blocks_are_reused_by_the_same_thread() {
-    let _g = lock();
     // A layout no other test in this binary allocates.
     let domain: Domain<3, [u64; 5]> = Domain::new();
 
@@ -38,7 +26,7 @@ fn retired_and_deallocated_blocks_are_reused_by_the_same_thread() {
     unsafe { domain.dealloc(again) };
 
     // `retire` stages the record; once the epoch has expired its block
-    // is back on the free list of the thread that matured it.
+    // is back on the free list of the thread that retired it.
     let guard = llx_scx::pin();
     let retired: Vec<_> = (0..8u64).map(|i| domain.alloc([i; 5], [i; 3])).collect();
     for &r in &retired {
@@ -56,7 +44,6 @@ fn retired_and_deallocated_blocks_are_reused_by_the_same_thread() {
 
 #[test]
 fn blocks_are_never_reused_across_layouts() {
-    let _g = lock();
     let wide: Domain<2, [u64; 4]> = Domain::new();
     let narrow: Domain<1, u64> = Domain::new();
     assert_ne!(
@@ -109,7 +96,6 @@ impl Drop for DropCounter {
 
 #[test]
 fn records_staged_by_an_exited_thread_drop_exactly_once() {
-    let _g = lock();
     llx_scx::flush_reclamation();
     // Fewer than one 32-record batch: the records are still staged when
     // the thread exits, so they can only come back via the orphan list.

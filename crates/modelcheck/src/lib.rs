@@ -186,6 +186,20 @@ impl Hb {
 
 thread_local! {
     static TID: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    /// Set once a worker's body has returned: its TLS destructors are
+    /// running, where an abort must not unwind (a panic there aborts the
+    /// process), so they run on unscheduled instead.
+    static EXITING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Unwind a worker at a preemption point of an aborted execution,
+/// unless it is already unwinding or running its TLS destructors: a
+/// second panic there would abort the process, so those operations run
+/// unscheduled.
+fn abort_unwind() {
+    if !std::thread::panicking() && !EXITING.with(|e| e.get()) {
+        panic::panic_any(ModelAbort);
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -289,11 +303,8 @@ fn yield_point(tid: usize) {
         g.granted[tid] = false;
     }
     drop(g);
-    // A thread already unwinding from the abort runs its destructors'
-    // operations unscheduled: a second panic there would abort the
-    // process.
-    if abort && !std::thread::panicking() {
-        panic::panic_any(ModelAbort);
+    if abort {
+        abort_unwind();
     }
 }
 
@@ -321,11 +332,8 @@ fn block_on_mutex(tid: usize, addr: usize) {
         g.granted[tid] = false;
     }
     drop(g);
-    // A thread already unwinding from the abort runs its destructors'
-    // operations unscheduled: a second panic there would abort the
-    // process.
-    if abort && !std::thread::panicking() {
-        panic::panic_any(ModelAbort);
+    if abort {
+        abort_unwind();
     }
 }
 
@@ -626,22 +634,37 @@ impl Explorer {
         for (i, body) in exec.threads.into_iter().enumerate() {
             let failures = failures.clone();
             let h = std::thread::Builder::new()
-                .name(format!("model-w{i}"))
+                .name(format!("model-w{i}-exit"))
                 .spawn(move || {
-                    TID.with(|t| t.set(Some(i)));
-                    // No initial handshake: the first instrumented op is the
-                    // first preemption point and consumes the first grant.
-                    let r = panic::catch_unwind(AssertUnwindSafe(body));
-                    // Clear the TID *before* declaring Finished so TLS
-                    // destructors (e.g. the epoch shim's Local) run as
-                    // plain uninstrumented code.
-                    TID.with(|t| t.set(None));
-                    if let Err(payload) = r {
-                        if !payload.is::<ModelAbort>() {
-                            let msg = panic_message(payload);
-                            failures.lock().unwrap_or_else(|e| e.into_inner()).push(msg);
-                        }
-                    }
+                    // The body runs on an inner thread whose exit is part
+                    // of this worker's schedule: its TLS destructors (the
+                    // epoch shim orphaning leftover closures, the pool
+                    // folding its counters) run under the worker's TID
+                    // before the worker reports Finished, so what they
+                    // publish is ordered like any other step.
+                    let inner = std::thread::Builder::new().name(format!("model-w{i}"));
+                    let _ = std::thread::scope(|s| {
+                        inner
+                            .spawn_scoped(s, || {
+                                TID.with(|t| t.set(Some(i)));
+                                // No initial handshake: the first
+                                // instrumented op is the first preemption
+                                // point and consumes the first grant.
+                                let r = panic::catch_unwind(AssertUnwindSafe(body));
+                                EXITING.with(|e| e.set(true));
+                                if let Err(payload) = r {
+                                    if !payload.is::<ModelAbort>() {
+                                        let msg = panic_message(payload);
+                                        failures
+                                            .lock()
+                                            .unwrap_or_else(|e| e.into_inner())
+                                            .push(msg);
+                                    }
+                                }
+                            })
+                            .expect("spawn model worker")
+                            .join()
+                    });
                     with_state_when(
                         |_| true,
                         |st| {

@@ -12,17 +12,26 @@
 //!   at which it was deferred — the defer hot path touches only
 //!   thread-local state, so the non-blocking primitives built on top
 //!   are not serialized through a shared lock;
-//! * a mutex-protected global queue that bags are batch-drained into
-//!   (when a bag fills, on [`Guard::flush`], on the periodic collection
-//!   tick, and at thread exit).
+//! * per-thread *queues* that a thread seals its bag into (when the bag
+//!   fills, on [`Guard::flush`] and on the periodic collection tick).
+//!   Only the owning thread runs its queue, so garbage matures on the
+//!   thread that made it, and one thread's tags never decrease: the
+//!   queue is oldest-first;
+//! * a mutex-protected global *orphan list*, used only when a thread can
+//!   no longer run its own closures: at thread exit, and for a closure
+//!   deferred while the thread's local state is being torn down. An
+//!   atomic count of orphans lets collectors skip the lock while the
+//!   list is empty.
 //!
 //! A queued closure runs once every currently-pinned thread is pinned at
 //! a *later* epoch than its tag, which implies no thread that could
 //! still reach the retired object remains pinned. Collection is
 //! amortized into [`pin`] (every [`COLLECT_EVERY`]-th outermost pin
-//! advances the epoch and runs ready closures), so long-running
-//! processes reclaim memory without ever calling [`Guard::flush`];
-//! `flush` remains the way tests drain deterministically.
+//! advances the epoch and runs the caller's ready closures and any ready
+//! orphans), so long-running processes reclaim memory without ever
+//! calling [`Guard::flush`]; `flush` remains the way tests drain
+//! deterministically. A thread that stops pinning keeps its sealed
+//! closures until it pins again or exits.
 //!
 //! Deferred closures may themselves pin and defer; the collector runs
 //! closures outside all internal locks and thread-local borrows to keep
@@ -33,17 +42,20 @@
 //! not re-enter: its deferred closures only drop Data-records and
 //! recycle their blocks.
 //!
-//! # One collection mode: inline
+//! # One collection mode: inline, on the owner
 //!
 //! Collection runs inline, on the thread whose pin reaches the tick: it
-//! advances the epoch and runs every ready closure before that thread
-//! publishes its own pin. There is no per-tick budget and no collector
-//! thread. The LLX/SCX structures only need a record to stay allocated
-//! while some thread can still reach it, and Brown's reclamation scheme
-//! for the same trees (PODC 2015) does that with one path and no
-//! collector thread. Several mutators may still collect at once, so
+//! advances the epoch, takes the minimum pinned slot and runs that
+//! thread's own ready closures (plus ready orphans) before it publishes
+//! its own pin. There is no per-tick budget and no collector thread,
+//! and no thread runs a live peer's garbage. The LLX/SCX structures only
+//! need a record to stay allocated while some thread can still reach
+//! it, and Brown's reclamation scheme for the same trees (DEBRA, PODC
+//! 2015) does that with per-thread limbo bags, one path and no
+//! collector thread. Several threads may still run orphans at once, so
 //! [`Guard::flush`] waits for closures another collector detached
-//! before it returns: a `flush` loop drains to quiescence.
+//! before it returns: a `flush` loop drains the caller's queue and the
+//! orphans to quiescence.
 
 #![warn(missing_docs)]
 
@@ -59,7 +71,7 @@ pub(crate) mod sync;
 /// Slot value meaning "this thread is not pinned".
 const INACTIVE: u64 = u64::MAX;
 
-/// Batch-drain a thread's bag into the global queue at this size.
+/// Seal a thread's bag into its queue at this size.
 const BAG_FLUSH: usize = 64;
 
 /// Run a collection on every Nth outermost [`pin`].
@@ -71,24 +83,23 @@ struct Slot {
 
 /// A deferred closure. The `Send` assertion is the caller's promise made
 /// through the `unsafe` contract of [`Guard::defer_unchecked`]: the
-/// closure may be run by whichever thread collects it.
+/// closure may be run by another thread when its owner exits first.
 struct Deferred(Box<dyn FnOnce()>);
 unsafe impl Send for Deferred {}
 
 /// Cache-line aligned: every `pin` reads `epoch` and the enclosing
 /// `OnceLock`'s state word, and every collection tick writes `epoch` and
-/// both mutexes. As a plain 8-aligned static the struct straddled two
+/// the slots mutex. As a plain 8-aligned static the struct straddled two
 /// lines at a link-order-dependent offset; at 3 of the 8 possible
-/// offsets the `queue` mutex shared a line with the state word, so each
-/// tick invalidated a second line under every other thread's next pin
+/// offsets a mutex shared a line with the state word, so each tick
+/// invalidated a second line under every other thread's next pin
 /// (`mem-read` p99 630 ns vs 830 ns for the same source built in two
-/// directories). Aligned, all three written fields share line 0 and the
-/// state word sits in a line nothing writes.
+/// directories). Aligned, the written fields share line 0 and the state
+/// word sits in a line nothing writes.
 #[repr(align(64))]
 struct Global {
     epoch: AtomicU64,
     slots: Mutex<Vec<Arc<Slot>>>,
-    queue: Mutex<VecDeque<(u64, Deferred)>>,
 }
 
 fn global() -> &'static Global {
@@ -96,22 +107,44 @@ fn global() -> &'static Global {
     GLOBAL.get_or_init(|| Global {
         epoch: AtomicU64::new(0),
         slots: Mutex::new(Vec::new()),
-        queue: Mutex::new(VecDeque::new()),
     })
 }
 
-/// Closures queued for reclamation right now (global queue only; bags
-/// still thread-local are not counted). Shim extension, for tests and
-/// observability.
+/// Closures that are sealed but not yet run, and the orphan list. Kept
+/// off [`Global`]'s line: `queued` changes on every sealed bag, and that
+/// line is read by every `pin`.
+#[repr(align(64))]
+struct Backlog {
+    /// Sealed, unrun closures across all threads: every thread's queue
+    /// plus the orphan list.
+    queued: AtomicUsize,
+    /// `orphans.len()`, written under its lock; collectors read it
+    /// before taking the lock.
+    orphaned: AtomicUsize,
+    /// Closures whose thread exited before it could run them. Their
+    /// tags come from many threads, so the list is not ordered.
+    orphans: Mutex<Vec<(u64, Deferred)>>,
+}
+
+static BACKLOG: Backlog = Backlog {
+    queued: AtomicUsize::new(0),
+    orphaned: AtomicUsize::new(0),
+    orphans: Mutex::new(Vec::new()),
+};
+
+/// Sealed closures not yet run, across all threads: every thread's own
+/// queue plus the orphan list (closures still in a thread's unsealed bag
+/// are not counted). Shim extension, for tests and observability.
 pub fn queued_reclaims() -> usize {
-    global().queue.lock().unwrap().len()
+    BACKLOG.queued.load(Ordering::SeqCst) // ord: SC backlog count read; tests wait for it to reach 0
 }
 
 /// Run one collection from the calling thread *without* pinning it
 /// first. Shim extension for the model-checking scenarios: the
 /// interesting pin/collect races need a collector that is not itself
 /// protected by a pin, which `Guard::flush` (pin-then-collect) can never
-/// express. Returns how many deferred closures ran.
+/// express. Like every collection it runs only the caller's own ready
+/// closures and ready orphans. Returns how many deferred closures ran.
 pub fn collect_now() -> usize {
     collect()
 }
@@ -132,33 +165,87 @@ struct Local {
     pins: Cell<usize>,
     total_pins: Cell<u64>,
     bag: RefCell<Vec<(u64, Deferred)>>,
+    /// Sealed bags, oldest first; only this thread runs them.
+    queue: RefCell<VecDeque<(u64, Deferred)>>,
 }
 
 impl Local {
-    /// Move the bag's contents to the global queue (one lock
-    /// acquisition per batch). Must not be called with `bag` borrowed.
+    /// Move the bag's contents to this thread's queue. Must not be
+    /// called with `bag` or `queue` borrowed.
     fn seal_bag(&self) {
-        let items = std::mem::take(&mut *self.bag.borrow_mut());
-        if !items.is_empty() {
-            global().queue.lock().unwrap().extend(items);
+        let mut bag = self.bag.borrow_mut();
+        if !bag.is_empty() {
+            let sealed = bag.len();
+            self.queue.borrow_mut().extend(bag.drain(..));
+            BACKLOG.queued.fetch_add(sealed, Ordering::SeqCst); // ord: SC backlog count; read by queued_reclaims
+        }
+    }
+
+    /// Detach this thread's closures tagged before `limit` into `ready`.
+    /// The queue is oldest-first, so the scan stops at the first
+    /// closure that is not ready: a tick costs O(ready), not O(queue).
+    fn take_ready(&self, limit: u64, ready: &mut Vec<Deferred>) {
+        let mut queue = self.queue.borrow_mut();
+        while let Some((epoch, _)) = queue.front() {
+            if *epoch >= limit {
+                break;
+            }
+            let (_, d) = queue.pop_front().expect("front was Some");
+            ready.push(d);
         }
     }
 }
 
 impl Drop for Local {
     fn drop(&mut self) {
-        // Thread exit: hand any stranded deferred closures to the
-        // global queue so another thread's collection can run them, and
-        // deregister the slot so the registry (scanned by every
-        // collection while holding its mutex) does not grow with every
-        // thread ever spawned.
-        self.seal_bag();
+        // Thread exit: this thread runs nothing more, so hand its sealed
+        // and unsealed closures to the orphan list for another thread's
+        // collection, and deregister the slot so the registry (scanned
+        // by every collection while holding its mutex) does not grow
+        // with every thread ever spawned.
+        let unsealed = self.bag.get_mut().len();
+        let mut left: Vec<_> = self.queue.get_mut().drain(..).collect();
+        left.append(self.bag.get_mut());
+        orphan(left, unsealed);
         global()
             .slots
             .lock()
             .unwrap()
             .retain(|s| !Arc::ptr_eq(s, &self.slot));
     }
+}
+
+/// Put closures on the orphan list; `unsealed` of them were not yet
+/// counted in [`queued_reclaims`].
+fn orphan(items: Vec<(u64, Deferred)>, unsealed: usize) {
+    if items.is_empty() {
+        return;
+    }
+    let mut orphans = BACKLOG.orphans.lock().unwrap();
+    orphans.extend(items);
+    BACKLOG.orphaned.store(orphans.len(), Ordering::SeqCst); // ord: SC orphan count, written under its lock
+    if unsealed > 0 {
+        BACKLOG.queued.fetch_add(unsealed, Ordering::SeqCst); // ord: SC backlog count; read by queued_reclaims
+    }
+}
+
+/// Detach the orphans tagged before `limit` into `ready`. Takes the
+/// lock only when the count says there are orphans.
+fn take_ready_orphans(limit: u64, ready: &mut Vec<Deferred>) {
+    if BACKLOG.orphaned.load(Ordering::SeqCst) == 0 {
+        // ord: SC orphan count; skips the lock when the list is empty
+        return;
+    }
+    let mut orphans = BACKLOG.orphans.lock().unwrap();
+    let mut i = 0;
+    while i < orphans.len() {
+        if orphans[i].0 < limit {
+            ready.push(orphans.swap_remove(i).1);
+        } else {
+            i += 1;
+        }
+    }
+    BACKLOG.orphaned.store(orphans.len(), Ordering::SeqCst); // ord: SC orphan count, written under its lock
 }
 
 thread_local! {
@@ -172,6 +259,7 @@ thread_local! {
             pins: Cell::new(0),
             total_pins: Cell::new(0),
             bag: RefCell::new(Vec::new()),
+            queue: RefCell::new(VecDeque::new()),
         }
     };
 }
@@ -241,7 +329,7 @@ impl Guard {
     /// Defer a closure until every thread currently pinned has unpinned.
     ///
     /// The closure lands in this thread's local bag (no shared lock);
-    /// full bags are batch-drained into the global queue.
+    /// full bags are sealed into this thread's queue.
     ///
     /// # Safety
     ///
@@ -276,21 +364,23 @@ impl Guard {
         });
         if let Some(stranded) = item {
             // Thread-local already destroyed (defer during thread
-            // teardown): queue globally so the closure still runs.
-            global().queue.lock().unwrap().push_back(stranded);
+            // teardown): orphan it so another thread still runs it.
+            orphan(vec![stranded], 1);
         }
     }
 
     /// Seal this thread's bag, advance the global epoch and run every
-    /// queued closure whose epoch is now strictly older than all pinned
-    /// threads'.
+    /// closure of this thread's queue, and every orphan, whose epoch is
+    /// now strictly older than all pinned threads'. A live peer's
+    /// closures are the peer's to run.
     ///
-    /// Repeatedly calling `pin().flush()` drains the queue: each call
-    /// pins at a fresh epoch, so older tags fall below the minimum.
-    /// Unless called from inside a deferred closure, `flush` also waits
-    /// for closures that a concurrent collector (another thread's `pin`
-    /// tick, `flush` or [`collect_now`]) has detached to finish, so a
-    /// `flush` loop reaches quiescence even while other threads collect.
+    /// Repeatedly calling `pin().flush()` drains the caller's queue and
+    /// the orphans: each call pins at a fresh epoch, so older tags fall
+    /// below the minimum. Unless called from inside a deferred closure,
+    /// `flush` also waits for closures that a concurrent collector
+    /// (another thread's `pin` tick, `flush` or [`collect_now`]) has
+    /// detached to finish, so a `flush` loop reaches quiescence even
+    /// while other threads collect.
     pub fn flush(&self) {
         let _ = LOCAL.try_with(Local::seal_bag);
         collect();
@@ -318,8 +408,8 @@ impl Drop for Guard {
     }
 }
 
-/// Advance the global epoch and run every ready queued closure (the
-/// rest stay queued, in order). Returns how many ran.
+/// Advance the global epoch and run the calling thread's ready closures
+/// and the ready orphans (the rest stay queued). Returns how many ran.
 fn collect() -> usize {
     let g = global();
     let epoch_now = g.epoch.fetch_add(1, Ordering::SeqCst) + 1; // ord: SC epoch advance; collectors race on this
@@ -337,7 +427,9 @@ fn collect() -> usize {
     // concurrently with the slot scan above can be missed by it, but
     // such a thread always publishes `epoch_now` (the pin verify loop
     // re-checks the counter), so anything it could still reach was
-    // deferred with tag >= epoch_now and stays queued.
+    // deferred with tag >= epoch_now and stays queued. A thread's own
+    // closures were deferred before this scan, so only orphans (deferred
+    // by a thread that may have exited after the scan) need the bound.
     #[cfg(not(llx_model_bugs))]
     let limit = min_pinned.min(epoch_now);
     // Model-checker regression gate: reopen the TOCTOU by dropping the
@@ -351,34 +443,21 @@ fn collect() -> usize {
     // thread-local borrow held: closures may re-enter
     // pin/defer_unchecked/flush. `IN_FLIGHT` covers the
     // detached-but-unfinished window so a concurrent `flush` cannot
-    // declare quiescence while this collector still holds work.
-    //
-    // The scan stops at the first non-ready item (head-of-line, like
-    // the real crossbeam-epoch's bag queue): per-thread tags are
-    // non-decreasing, so the queue is *approximately* oldest-first and
-    // a ready item stuck behind a blocked head just waits for the next
-    // collection. A tick therefore costs O(ready), not O(queue): it
-    // never pops and re-queues a backlog that a pinned peer holds back.
-    let ready: Vec<Deferred> = {
-        let mut queue = g.queue.lock().unwrap();
-        let mut ready = Vec::new();
-        while let Some((epoch, _)) = queue.front() {
-            if *epoch >= limit {
-                break;
-            }
-            let (_, d) = queue.pop_front().expect("front was Some");
-            ready.push(d);
-        }
-        if !ready.is_empty() {
-            IN_FLIGHT.fetch_add(ready.len(), Ordering::SeqCst); // ord: SC in-flight accounting; pairs with flush drain
-        }
-        ready
-    };
+    // declare quiescence while this collector still holds work; it is
+    // raised before `queued` drops, so no observer sees the work in
+    // neither count.
+    let mut ready = Vec::new();
+    let _ = LOCAL.try_with(|local| local.take_ready(limit, &mut ready));
+    take_ready_orphans(limit, &mut ready);
     let ran = ready.len();
+    if ran > 0 {
+        IN_FLIGHT.fetch_add(ran, Ordering::SeqCst); // ord: SC in-flight accounting; pairs with flush drain
+        BACKLOG.queued.fetch_sub(ran, Ordering::SeqCst); // ord: SC backlog count; read by queued_reclaims
+    }
     for d in ready {
         RUNNING_CLOSURES.with(|c| c.set(c.get() + 1));
-        // A panicking closure must not strand the counters (the queue
-        // is process-global state shared with every other test in the
+        // A panicking closure must not strand the counters (they are
+        // process-global state shared with every other test in the
         // binary); restore them even on unwind.
         struct InFlightGuard;
         impl Drop for InFlightGuard {

@@ -19,7 +19,9 @@
 //!
 //! Scenario hygiene: each execution's factory runs on the (uninstrumented)
 //! controller thread and starts by draining process-global state —
-//! `flush_reclamation` (epoch queue + orphans), `reset_pool_stats`,
+//! `flush_reclamation` (the controller's own epoch queue and the orphans
+//! that exited workers left; a worker's exit is a step of its schedule,
+//! so it has always orphaned by then), `reset_pool_stats`,
 //! `kcas_reset_cas_count` — so schedules are replayable and nothing bleeds
 //! between executions. One piece of global state cannot be drained: the
 //! epoch shim gives every live thread that has pinned a slot, and the
@@ -251,13 +253,16 @@ fn scx_recycling() -> Execution {
 /// even when the checker's bug gates let the race fire).
 const POISON: u64 = 0xdead;
 
-/// T0 pins and dereferences a shared pointer; T1 swaps the pointer out
-/// and defers "reclamation" (a poison store) of the old target; T2 is an
-/// unpinned collector (`collect_now`) that can stall between its slot
-/// scan and its queue detach. The fixed collector bounds the detach by
-/// the epoch it installed, so a pin it missed stays protected; with the
-/// `llx_model_bugs` gate that bound is dropped and some schedule frees
-/// the victim under T0's pin.
+/// T0 pins and dereferences a shared pointer; T1 swaps the pointer out,
+/// defers "reclamation" (a poison store) of the old target and exits,
+/// which orphans the closure; T2 is an unpinned collector
+/// (`collect_now`) that can stall between its slot scan and its orphan
+/// adoption. A thread runs only its own closures and the orphans, and an
+/// owner's scan always sees a reader that reached what it retired, so the
+/// race lives on the orphan path. The fixed collector bounds the
+/// adoption by the epoch it installed, so a pin it missed stays
+/// protected; with the `llx_model_bugs` gate that bound is dropped and
+/// some schedule frees the victim under T0's pin.
 fn pin_collect() -> Execution {
     reset_world();
     // Victims are *instrumented* atomics (every access is a preemption
@@ -294,15 +299,17 @@ fn pin_collect() -> Execution {
                     old.get().store(POISON, MO::SeqCst);
                 });
             }
-            // Push the deferred closure into the global queue (and run a
-            // pinned collection, which must *not* reclaim it: this
-            // thread's own pin is younger than the closure's tag).
+            // Seal the deferred closure into this thread's queue (and run
+            // a pinned collection, which must *not* reclaim it: this
+            // thread's own pin is younger than the closure's tag). The
+            // thread's exit, a step of this schedule, then orphans it.
             guard.flush();
         }));
     }
     threads.push(Box::new(move || {
         // The unpinned collector: its slot scan can miss a pin that
-        // lands right after it.
+        // lands right after it, and its orphan adoption can come after
+        // T1's exit.
         let _ = crossbeam_epoch::collect_now();
     }));
     Execution::new(threads)
