@@ -18,7 +18,7 @@
 #                  win per SCX) and the Data-record lifecycle check
 #                  only exist under debug_assertions, and rare races
 #                  need soak time the tier-1 defaults don't give; then
-#                  the reclamation binaries (shim collect/fault,
+#                  the reclamation binaries (shim collect/fault/idle,
 #                  llx-scx recycle/reclaim/ownership/pool_stats, root
 #                  pool_handoff/reclaim_global) 5x in release at the
 #                  default test-thread count, so tests that share the
@@ -169,7 +169,7 @@ stage_debug_stress() {
     local i
     for i in 1 2 3 4 5; do
         echo "    reclamation binaries, release, round $i/5"
-        cargo test -q --release -p crossbeam-epoch --test collect --test fault
+        cargo test -q --release -p crossbeam-epoch --test collect --test fault --test idle
         cargo test -q --release -p llx-scx --test recycle --test reclaim \
             --test ownership --test pool_stats
         cargo test -q --release -p llx-scx-repro --test pool_handoff --test reclaim_global

@@ -33,6 +33,53 @@
 //! deterministically. A thread that stops pinning keeps its sealed
 //! closures until it pins again or exits.
 //!
+//! # The tick runs only when it can matter
+//!
+//! A tick is due when one of these holds:
+//!
+//! * the caller's bag or queue is non-empty (it has garbage to run);
+//! * orphans wait (`Backlog::orphaned != 0`);
+//! * some thread deferred at the current epoch (`Backlog::deferred_at`),
+//!   so its garbage waits for the epoch to move. A live peer's closures
+//!   run only on the peer, but the peer's tick can run them only once
+//!   every pinned reader has re-pinned past their tag, and a reader's
+//!   tick is what moves the epoch under a peer that pins rarely (a
+//!   netsvc session pins once per batch). The word is a hint that a
+//!   race can leave stale, which delays that help by at most one of the
+//!   deferring thread's own ticks (see `Backlog::deferred_at`).
+//!
+//! Otherwise the tick is skipped outright: no epoch bump, no slots
+//! mutex, no slot scan. An idle [`pin`] therefore costs one locked
+//! instruction (the SeqCst slot announce) and writes no shared cache
+//! line; the unpin is a plain `Release` store. The gate changes only
+//! *when* a collection runs, never the bound it frees under.
+//!
+//! # Why the pin and unpin orderings suffice
+//!
+//! The protocol is crossbeam-epoch's, after Fraser's epoch scheme
+//! ("Practical lock-freedom", 2004).
+//!
+//! * **Pin.** The epoch load, the slot announce and the epoch re-load
+//!   are SeqCst, and so are a collector's `fetch_add` on the epoch and
+//!   its slot loads. SeqCst accesses fall in one total order S. If a
+//!   collector's slot load precedes the announce in S, then its
+//!   `fetch_add` precedes the re-load too, so the re-load sees the bumped
+//!   epoch (or a later one): the pin keeps an epoch of at least that
+//!   collector's `epoch_now` (or retries until it does), which the
+//!   collector's `limit` already bounds. If the
+//!   slot load follows the announce, the collector sees the pin. No
+//!   fence is needed between announce and re-load: S alone excludes the
+//!   store-buffering outcome (both loads missing both stores).
+//! * **Unpin.** The slot store of `INACTIVE` is `Release`. A collector
+//!   whose SeqCst slot load reads `INACTIVE` synchronizes-with it, so
+//!   everything the reader did under its guard happens-before whatever
+//!   that collector frees afterwards. A collector that reads the older,
+//!   pinned value only holds garbage back longer.
+//!
+//! `modelcheck` runs every access at SeqCst, so it checks the pin
+//! argument but cannot check the `Release` unpin; the argument above is
+//! the proof for that one.
+//!
 //! Deferred closures may themselves pin and defer; the collector runs
 //! closures outside all internal locks and thread-local borrows to keep
 //! that re-entrancy safe. One caller relies on it: the `mwcas` kCAS
@@ -59,7 +106,7 @@
 
 #![warn(missing_docs)]
 
-use crate::sync::{fence, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
@@ -89,9 +136,13 @@ unsafe impl Send for Deferred {}
 
 /// Cache-line aligned: every `pin` reads `epoch` and the enclosing
 /// `OnceLock`'s state word, and every collection tick writes `epoch` and
-/// the slots mutex. As a plain 8-aligned static the struct straddled two
-/// lines at a link-order-dependent offset; at 3 of the 8 possible
-/// offsets a mutex shared a line with the state word, so each tick
+/// the slots mutex. A tick runs only when one is due (the caller has
+/// garbage, orphans wait, or some thread deferred at the current epoch;
+/// see the module docs), so pins in a process that retires nothing never
+/// write this line (a thread's first pin and its exit still take the
+/// slots mutex). As a plain 8-aligned static the struct
+/// straddled two lines at a link-order-dependent offset; at 3 of the 8
+/// possible offsets a mutex shared a line with the state word, so each tick
 /// invalidated a second line under every other thread's next pin
 /// (`mem-read` p99 630 ns vs 830 ns for the same source built in two
 /// directories). Aligned, the written fields share line 0 and the state
@@ -121,6 +172,24 @@ struct Backlog {
     /// `orphans.len()`, written under its lock; collectors read it
     /// before taking the lock.
     orphaned: AtomicUsize,
+    /// The epoch some thread last deferred at ([`INACTIVE`] before the
+    /// first defer). While it equals the global epoch, every pin tick is
+    /// due, so idle threads move the epoch the new garbage waits on. A
+    /// thread writes it at most once per epoch (`Local::deferred_at`
+    /// remembers its last write), and only pin ticks read it.
+    ///
+    /// It is a plain store of an epoch read earlier, not a max, so it can
+    /// go stale: thread A reads epoch e, thread B moves the epoch to
+    /// e + 1 and stores e + 1 after deferring, then A stores e over it.
+    /// Idle ticks are then not due for B's garbage, and B does not
+    /// rewrite the word within e + 1. B holds garbage, though, so B's
+    /// own next tick is due and moves the epoch; the next defer after
+    /// that stores a current value again. A stale value therefore only
+    /// delays help, by at most one of the deferring thread's tick
+    /// intervals, and never lets anything be freed early: what a
+    /// collection frees is bounded by `collect`'s `limit`, which this
+    /// word does not enter.
+    deferred_at: AtomicU64,
     /// Closures whose thread exited before it could run them. Their
     /// tags come from many threads, so the list is not ordered.
     orphans: Mutex<Vec<(u64, Deferred)>>,
@@ -129,6 +198,7 @@ struct Backlog {
 static BACKLOG: Backlog = Backlog {
     queued: AtomicUsize::new(0),
     orphaned: AtomicUsize::new(0),
+    deferred_at: AtomicU64::new(INACTIVE),
     orphans: Mutex::new(Vec::new()),
 };
 
@@ -137,6 +207,14 @@ static BACKLOG: Backlog = Backlog {
 /// are not counted). Shim extension, for tests and observability.
 pub fn queued_reclaims() -> usize {
     BACKLOG.queued.load(Ordering::SeqCst) // ord: SC backlog count read; tests wait for it to reach 0
+}
+
+/// The current global epoch. Only a collection (a due pin tick,
+/// [`Guard::flush`] or [`collect_now`]) advances it, so a process whose
+/// threads retire nothing sees it stand still. Shim extension, for
+/// tests and observability.
+pub fn global_epoch() -> u64 {
+    global().epoch.load(Ordering::SeqCst) // ord: SC epoch read; tests compare it across pins
 }
 
 /// Run one collection from the calling thread *without* pinning it
@@ -167,9 +245,26 @@ struct Local {
     bag: RefCell<Vec<(u64, Deferred)>>,
     /// Sealed bags, oldest first; only this thread runs them.
     queue: RefCell<VecDeque<(u64, Deferred)>>,
+    /// The epoch this thread last wrote to `Backlog::deferred_at`.
+    deferred_at: Cell<u64>,
 }
 
 impl Local {
+    /// Whether this pin's collection tick can do anything: run the
+    /// caller's garbage, adopt orphans, or move an epoch that a
+    /// thread's fresh garbage waits on. Must not be called with `bag`
+    /// or `queue` mutably borrowed.
+    fn tick_due(&self) -> bool {
+        !self.bag.borrow().is_empty()
+            || !self.queue.borrow().is_empty()
+            // ord: Relaxed hint: a stale 0 delays a tick; freeing is bounded by collect's limit
+            || BACKLOG.orphaned.load(Ordering::Relaxed) != 0
+            // ord: Relaxed hint: a stale value delays or adds a tick; freeing is bounded by collect's limit
+            || BACKLOG.deferred_at.load(Ordering::Relaxed)
+                // ord: Relaxed hint: compared with deferred_at only to gate the tick
+                == global().epoch.load(Ordering::Relaxed)
+    }
+
     /// Move the bag's contents to this thread's queue. Must not be
     /// called with `bag` or `queue` borrowed.
     fn seal_bag(&self) {
@@ -260,6 +355,7 @@ thread_local! {
             total_pins: Cell::new(0),
             bag: RefCell::new(Vec::new()),
             queue: RefCell::new(VecDeque::new()),
+            deferred_at: Cell::new(INACTIVE),
         }
     };
 }
@@ -284,9 +380,20 @@ impl fmt::Debug for Guard {
 /// Pin the current thread: publish the global epoch into this thread's
 /// slot and return a [`Guard`] that keeps it published. Re-entrant; only
 /// the outermost pin writes the slot. Every [`COLLECT_EVERY`]-th
-/// outermost pin also runs a collection (while still unpinned), which
-/// bounds the memory held by deferred destructions without any explicit
-/// [`Guard::flush`].
+/// outermost pin also runs a collection (while still unpinned) if one
+/// is due: the caller has garbage, orphans wait, or some thread deferred
+/// at the current epoch. That bounds the memory held by deferred
+/// destructions without any explicit [`Guard::flush`], and leaves a
+/// thread that retires nothing with one locked instruction per pin and
+/// no shared write (module docs, "The tick runs only when it can
+/// matter").
+///
+/// The announce is a SeqCst slot store between two SeqCst loads of the
+/// epoch, with no fence. A collector's epoch bump and slot scan are
+/// SeqCst too, so if its scan misses the announce, its bump precedes
+/// the re-load in their one total order. The re-load sees that bump, so
+/// the epoch the pin keeps is at least the one the collector installed,
+/// which the collector's free bound already covers.
 pub fn pin() -> Guard {
     LOCAL.with(|local| {
         let pins = local.pins.get();
@@ -295,10 +402,14 @@ pub fn pin() -> Guard {
             local.total_pins.set(total);
             // Injected collect delay: skip this amortized tick — the
             // bag stays buffered and garbage ages, exactly a stalled
-            // collector. `Guard::flush`/`collect_now` are deliberately
-            // not injectable: deterministic drains (leak checks,
+            // collector. The fault is offered only on a tick that would
+            // run. `Guard::flush`/`collect_now` are deliberately not
+            // injectable: deterministic drains (leak checks,
             // `flush_reclamation`) must stay deterministic.
-            if total % COLLECT_EVERY == 0 && !faultpoint::fire("epoch.tick.skip") {
+            if total % COLLECT_EVERY == 0
+                && local.tick_due()
+                && !faultpoint::fire("epoch.tick.skip")
+            {
                 // Not yet pinned: our own slot does not hold back the
                 // collection, and re-entrant pins from closures nest
                 // above pins == 0 correctly.
@@ -308,10 +419,10 @@ pub fn pin() -> Guard {
             // Publish the epoch, then re-check it: if the global epoch
             // moved while we were publishing, a concurrent collector may
             // have missed our slot, so publish the newer value instead.
+            // No fence between announce and re-load (see the docs above).
             loop {
                 let e = global().epoch.load(Ordering::SeqCst); // ord: SC pin: epoch read before announce
-                local.slot.epoch.store(e, Ordering::SeqCst); // ord: SC pin: announce slot epoch
-                fence(Ordering::SeqCst); // ord: SC store-load fence; announce must precede re-read
+                local.slot.epoch.store(e, Ordering::SeqCst); // ord: SC pin: announce slot epoch; SC order with the re-load replaces a fence
                 if global().epoch.load(Ordering::SeqCst) == e {
                     // ord: SC pin: validate epoch after announce
                     break;
@@ -353,6 +464,12 @@ impl Guard {
             std::mem::transmute::<Box<dyn FnOnce() + '_>, Box<dyn FnOnce() + 'static>>(boxed);
         let mut item = Some((epoch, Deferred(boxed)));
         let _ = LOCAL.try_with(|local| {
+            if local.deferred_at.get() != epoch {
+                // Once per epoch per deferring thread: idle threads'
+                // ticks now move the epoch this closure waits on.
+                local.deferred_at.set(epoch);
+                BACKLOG.deferred_at.store(epoch, Ordering::Relaxed); // ord: Relaxed hint read only by tick_due; no data is published through it
+            }
             let full = {
                 let mut bag = local.bag.borrow_mut();
                 bag.push(item.take().expect("item pushed at most once"));
@@ -394,6 +511,11 @@ impl Guard {
 }
 
 impl Drop for Guard {
+    /// Unpin: the outermost guard stores `INACTIVE` into the thread's
+    /// slot with `Release`, a plain store. A collector whose SeqCst slot
+    /// load reads `INACTIVE` synchronizes-with it, so every access made
+    /// under the guard happens-before anything that collector frees; a
+    /// collector that reads the older, pinned value only waits longer.
     fn drop(&mut self) {
         // `try_with`: guards dropped during thread teardown must not
         // re-initialize the destroyed thread-local.
@@ -401,7 +523,10 @@ impl Drop for Guard {
             let pins = local.pins.get();
             debug_assert!(pins > 0, "unpinning an unpinned thread");
             if pins == 1 {
-                local.slot.epoch.store(INACTIVE, Ordering::SeqCst); // ord: SC unpin announcement
+                // ord: Release unpin: a collector's SC slot load that reads INACTIVE synchronizes-with
+                // this store, so every access made under the guard happens-before what that collector
+                // frees; a collector that reads the stale pinned value only waits longer
+                local.slot.epoch.store(INACTIVE, Ordering::Release);
             }
             local.pins.set(pins - 1);
         });

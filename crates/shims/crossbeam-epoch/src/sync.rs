@@ -4,7 +4,7 @@
 
 #[cfg(not(llx_model))]
 #[allow(unused_imports)]
-pub use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(llx_model))]
 #[allow(unused_imports)]
@@ -12,4 +12,4 @@ pub use std::sync::{Mutex, MutexGuard};
 
 #[cfg(llx_model)]
 #[allow(unused_imports)]
-pub use modelcheck::sync::{fence, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
+pub use modelcheck::sync::{AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
