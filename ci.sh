@@ -20,7 +20,7 @@
 #                  need soak time the tier-1 defaults don't give; then
 #                  the reclamation binaries (shim collect/fault/idle,
 #                  llx-scx recycle/reclaim/ownership/pool_stats, root
-#                  pool_handoff/reclaim_global) 5x in release at the
+#                  reclaim_global) 5x in release at the
 #                  default test-thread count, so tests that share the
 #                  epoch shim and the pool run in parallel
 #   scanwin        the two tests that read LLX_SCAN_WINDOW (windowed
@@ -172,7 +172,7 @@ stage_debug_stress() {
         cargo test -q --release -p crossbeam-epoch --test collect --test fault --test idle
         cargo test -q --release -p llx-scx --test recycle --test reclaim \
             --test ownership --test pool_stats
-        cargo test -q --release -p llx-scx-repro --test pool_handoff --test reclaim_global
+        cargo test -q --release -p llx-scx-repro --test reclaim_global
     done
 }
 

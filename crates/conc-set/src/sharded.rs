@@ -19,7 +19,7 @@
 //! **Reclamation is not partitioned.** The record pool's free lists
 //! are per *thread* and layout, not per shard, and its blocks are dead
 //! memory, so every shard draws from and feeds the same per-thread
-//! lists and the same process-wide parked lists.
+//! lists.
 //!
 //! **Stitched scans.** [`scan`](ConcurrentOrderedSet::scan) returns a
 //! cursor that concatenates per-shard windowed cursors in ascending
@@ -250,7 +250,7 @@ impl ScanCursor for StitchCursor<'_> {
                     self.pos = None;
                     self.inner = None;
                 } else if hi_key >= sub_hi {
-                    // Shard exhausted: resume at the seam.
+                    // This shard is exhausted: resume at the seam.
                     self.inner = None;
                     self.shard += 1;
                     self.pos = Some(hi_key + 1);

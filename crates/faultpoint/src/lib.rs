@@ -44,8 +44,7 @@
 //!
 //! | point | site | effect when it fires |
 //! |---|---|---|
-//! | `scx.pool.alloc_miss` | `llx-scx` record pool | allocation skips the free list / shard steal and pays the global allocator (forced pool miss) |
-//! | `scx.pool.steal_fail` | `llx-scx` shard handoff | `steal_shard` returns `None` as if no shard were parked |
+//! | `scx.pool.alloc_miss` | `llx-scx` record pool | allocation skips the free list and pays the global allocator (forced pool miss) |
 //! | `epoch.tick.skip` | `crossbeam-epoch` shim `pin()`, offered only on a tick that would run (one is due only while garbage waits) | the amortized collection tick is skipped (reclamation delayed; `Guard::flush` is never affected) |
 //! | `net.conn.drop` | `netsvc` session loop | the session drops the connection mid-batch, before answering the current request |
 //! | `net.frame.torn` | `netsvc` reply path | the response frame is cut mid-payload and the connection dropped |

@@ -120,9 +120,9 @@ pub fn pin() -> Guard {
 /// of Data-records allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Data-record allocations served without the global allocator:
-    /// from the thread's free list, or from a shard adopted through the
-    /// cross-thread handoff.
+    /// Data-record allocations served from the calling thread's free
+    /// list (blocks that thread retired or deallocated), without the
+    /// global allocator.
     pub hits: u64,
     /// Data-record allocations that fell through to the global
     /// allocator.
@@ -130,11 +130,10 @@ pub struct PoolStats {
     /// Epoch-deferred closures issued, one per sealed batch of up to 32
     /// retired Data-records.
     pub defers: u64,
-    /// Records/blocks handed across threads: orphan adoptions at thread
-    /// exit plus shard steals (free blocks published by a retire-heavy
-    /// thread and adopted by an allocate-heavy one — the
-    /// pipeline-workload case). Threads that allocate what they retire
-    /// hand off nothing.
+    /// Retired records handed across threads: the partial batches of
+    /// exited threads, adopted by the next thread that seals a batch or
+    /// calls [`flush_reclamation`]. No free block changes threads, so a
+    /// thread that flushes before it exits hands off nothing.
     pub handoffs: u64,
 }
 

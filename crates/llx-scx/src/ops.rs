@@ -87,8 +87,8 @@ impl<const M: usize, I> Domain<M, I> {
     /// dummy SCX-record and its `marked` bit is false (paper Fig. 1).
     ///
     /// The block comes from the calling thread's record pool (a block of
-    /// the same layout retired earlier, else a stolen parked shard, else
-    /// the allocator). The returned pointer is owned by the caller's
+    /// the same layout that this thread retired earlier, else the
+    /// allocator). The returned pointer is owned by the caller's
     /// data structure and may leave only through [`Domain::retire`]
     /// after unlinking or [`Domain::dealloc`] if it was never
     /// published. It is **not** a `Box` allocation: `Box::from_raw` on

@@ -15,25 +15,30 @@
 //! PODC 2015). SCX-records never come here: each thread reuses one
 //! descriptor (the `header` module).
 //!
-//! # One stage
+//! # One path
 //!
-//! Blocks are untyped and keyed by [`Layout`]: the free lists, the
-//! outboxes and the parked shards all keep one entry per layout, so a
-//! block is only ever reused for a record of the layout it was
-//! allocated with. Which record *type*, domain or structure produced a
-//! block is irrelevant to whoever reuses it: a block is recycled only
-//! after its destruction epoch expired, so it is plain dead memory.
+//! Blocks are untyped and keyed by [`Layout`]: each thread keeps one
+//! free list per layout, so a block is only ever reused for a record of
+//! the layout it was allocated with. Which record *type*, domain or
+//! structure produced a block is irrelevant to whoever reuses it: a
+//! block is recycled only after its destruction epoch expired, so it is
+//! plain dead memory.
 //!
 //! [`retire_data`] pushes the record onto the thread's destruction
 //! list; every [`LIMBO_BATCH`] entries share *one* `defer_unchecked`.
 //! The epoch shim runs a deferred closure on the thread that deferred
 //! it, so when the batch matures each record is dropped in place and its
-//! block cached on the *retiring* thread's free list for its layout (or,
-//! past [`FREE_CAP`], handed to other threads; see below).
-//! [`dealloc_data`] (never published) drops in place and recycles at
-//! once. Allocation ([`alloc`]) pops from that free list and
-//! `ptr::write`s the fresh record into the block, skipping the allocator
-//! entirely.
+//! block cached on the *retiring* thread's free list for its layout,
+//! or, past [`FREE_CAP`], returned to the allocator. [`dealloc_data`]
+//! (never published) drops in place and recycles at once. Allocation
+//! ([`alloc`]) pops from that free list and `ptr::write`s the fresh
+//! record into the block, skipping the allocator entirely; on an empty
+//! free list it calls the allocator. There is no other path: no block
+//! moves between threads' free lists.
+//!
+//! Memory bound: a thread holds at most [`FREE_CAP`] free blocks per
+//! layout, and only blocks that it retired or deallocated itself. Its
+//! free lists go back to the allocator when it exits.
 //!
 //! The epoch delay is **not** optional: reusing a record's address while
 //! any stale holder could still dereference it is the use-after-free the
@@ -48,35 +53,13 @@
 //! every retired record is eventually dropped exactly once. An atomic
 //! count lets the seal skip the orphan lock while the list is empty.
 //! Batches already deferred when a thread exits become the epoch shim's
-//! orphans and mature on whichever thread collects them.
+//! orphans and mature on whichever thread collects them. Adopted
+//! orphans are the only records that change threads, and the
+//! `handoffs` counter counts them.
 //!
 //! The counters behind [`crate::pool_stats`] are per thread too: each
 //! thread bumps its own cache line, and a snapshot sums the live
 //! threads' counters with the totals that exited threads left behind.
-//!
-//! # Cross-thread shard handoff
-//!
-//! Free lists are per-thread, and a block returns to the thread that
-//! retired it — so whenever one thread retires what another allocates
-//! (pipelines, a thread that drops a whole structure, a thread that
-//! exits with deferred batches) the retiring thread's free list fills
-//! to [`FREE_CAP`] while the allocating thread misses. The handoff
-//! closes that gap without sharing the free lists themselves:
-//!
-//! * a matured block that finds its thread's free list full goes into
-//!   the thread's **outbox** for that layout; an outbox of
-//!   [`SHARD_BLOCKS`] blocks is published wholesale as one *shard* onto
-//!   the process-wide parked list for its layout. Each layout's list is
-//!   bounded: beyond [`MAX_PARKED_SHARDS`] the shard's blocks are
-//!   genuinely freed;
-//! * an allocating thread that misses its free list **steals a whole
-//!   shard** of the same layout before touching the allocator: one lock
-//!   acquisition amortized over a shard's worth of future allocations,
-//!   counted as `handoffs`.
-//!
-//! Threads that each allocate what they retire never overflow and hand
-//! off nothing; `llx-scx.pool_handoffs_per_op` in the repository
-//! benchmark records the rate per workload.
 //!
 //! # Why each mechanism is here, and why none has a switch
 //!
@@ -94,14 +77,25 @@
 //!   slower still, and a glibc tcache large enough that no free takes
 //!   an arena lock made them 1.5× faster. That is the signature of
 //!   cross-arena frees. README "Memory reclamation" has the A/B.
-//! * **outbox → parked shard → whole-shard steal** (vs freeing the
-//!   overflow): `mem-contend` 1.13 M vs 0.76 M ops/s, ahead in 9 of 9
-//!   same-seed pairs; no resolvable difference on the uncontended
-//!   workloads, so it runs unconditionally.
-//! * the parked list is **one** mutex: the only workload that drove
-//!   the former per-shard affinity buckets read 0.0055 handoffs per op,
-//!   and pooled blocks of one layout are interchangeable, so bucketing
-//!   chose nothing but which mutex to take.
+//! * **[`FREE_CAP`] sized to one epoch tick** (the count is on the
+//!   const). A netsvc session pins once per 16-op batch and its epoch
+//!   tick comes every 64th pin, so one collection matures about 1 000
+//!   ops' blocks at once. At the former cap of 256, with no handoff
+//!   behind it, two traced seed-7 `net-scan` runs read `pool_hit_rate`
+//!   0.31; at 8192 it reads 0.999.
+//! * **no cross-thread handoff.** A full free list used to overflow
+//!   into 16-block bundles on one global mutex-guarded list, and a
+//!   thread that missed took a whole bundle before the allocator. It won
+//!   `mem-contend` 1.13 M vs 0.76 M ops/s when a batch matured on
+//!   whichever thread collected it. Since batches mature on the
+//!   retiring thread, it carried next to nothing across threads: on
+//!   `net-scan`, 5.75 M blocks were stolen back by the thread that had
+//!   parked them, against 1 016 by another thread (one traced seed-7
+//!   run). Deleted, with the cap raised from 256. Medians of 10
+//!   alternating pairs, seed 7: `mem-contend` `ops_per_s` 3.19 M →
+//!   3.20 M (the workload that once justified the handoff);
+//!   `net-scan` `pool_hit_rate` 0.959 → 0.999 and
+//!   `pool_handoffs_per_op` 0.52 → 0.
 
 use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::alloc::Layout;
@@ -115,23 +109,13 @@ use crate::record::DataRecord;
 /// Number of retired records that trigger one batched defer.
 const LIMBO_BATCH: usize = 32;
 
-/// Maximum blocks cached per thread and layout; beyond this, matured
-/// blocks are routed to the handoff outbox.
-const FREE_CAP: usize = 256;
-
-/// Blocks per handoff shard (the outbox publishes wholesale at this
-/// size).
-const SHARD_BLOCKS: usize = 16;
-
-/// Upper bound on parked shards per layout; beyond it, overflow blocks
-/// go back to the allocator so the handoff cannot hoard memory
-/// unboundedly.
-const MAX_PARKED_SHARDS: usize = 64;
-
-/// A published outbox: dead blocks of one layout ready for adoption by
-/// any thread. The raw pointers are owned uniquely by the shard.
-struct Shard(Vec<*mut u8>);
-unsafe impl Send for Shard {}
+/// Maximum blocks cached per thread and layout; beyond this, a recycled
+/// block goes back to the allocator. Sized to what one epoch tick
+/// matures on a thread that pins once per 16-op batch: the most blocks
+/// of one layout a single collection returned to the `net-scan` writer
+/// session was 7 648 (seed 7, 37 sessions over seven 18 s runs, on
+/// 2 vCPUs).
+const FREE_CAP: usize = 8192;
 
 /// A list with one entry per record layout. A process uses a handful of
 /// layouts, so a linear scan is all the lookup needs.
@@ -150,98 +134,28 @@ fn keyed<T: Default>(entries: &mut Keyed<T>, layout: Layout) -> &mut T {
     &mut entries[i].1
 }
 
-/// Parked shards awaiting a stealing allocator thread, per layout.
-fn parked() -> &'static Mutex<Keyed<Vec<Shard>>> {
-    static PARKED: OnceLock<Mutex<Keyed<Vec<Shard>>>> = OnceLock::new();
-    PARKED.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Return every block of `blocks` to the allocator.
-fn free_blocks(blocks: Vec<*mut u8>, layout: Layout) {
-    for p in blocks {
-        // SAFETY: pooled blocks are dead and were allocated with `layout`.
-        unsafe { std::alloc::dealloc(p, layout) };
-    }
-}
-
-/// Keep one dead block for reuse: on the calling thread's free list for
-/// its layout while that has room, otherwise in the outbox (publishing
-/// a full outbox as a shard for other threads to steal).
+/// Keep one dead block for reuse on the calling thread's free list for
+/// its layout while that has room; otherwise return it to the
+/// allocator.
 ///
 /// # Safety
 ///
 /// `p` must be a dead block allocated with `layout`, owned by the
 /// caller.
 unsafe fn recycle(p: *mut u8, layout: Layout) {
-    let sealed = POOL.try_with(|pool| {
+    let kept = POOL.try_with(|pool| {
         let mut pool = pool.borrow_mut();
-        let lists = keyed(&mut pool.lists, layout);
-        if lists.free.len() < FREE_CAP {
-            lists.free.push(p);
-            return None;
+        let free = keyed(&mut pool.free, layout);
+        let room = free.len() < FREE_CAP;
+        if room {
+            free.push(p);
         }
-        lists.outbox.push(p);
-        (lists.outbox.len() >= SHARD_BLOCKS).then(|| std::mem::take(&mut lists.outbox))
+        room
     });
-    match sealed {
-        Ok(None) => {}
-        Ok(Some(blocks)) => park_shard(layout, Shard(blocks)),
-        // Thread-local already destroyed: nowhere to buffer the block.
-        Err(_) => std::alloc::dealloc(p, layout),
+    // Past the cap, or the thread-local is already destroyed.
+    if !kept.unwrap_or(false) {
+        std::alloc::dealloc(p, layout);
     }
-}
-
-/// Park a sealed shard for stealing; free its blocks if its layout's
-/// parked list is full (the bound that keeps handoff memory finite).
-fn park_shard(layout: Layout, shard: Shard) {
-    let spill = {
-        let mut parked = parked().lock().unwrap();
-        let shards = keyed(&mut parked, layout);
-        if shards.len() < MAX_PARKED_SHARDS {
-            shards.push(shard);
-            None
-        } else {
-            Some(shard)
-        }
-    };
-    if let Some(Shard(blocks)) = spill {
-        free_blocks(blocks, layout);
-    }
-}
-
-/// Steal one parked shard of `layout` for the current thread: returns a
-/// block to serve the triggering allocation and caches the rest on the
-/// local free list. Counts the blocks adopted as handoffs.
-fn steal_shard(layout: Layout) -> Option<*mut u8> {
-    // Injected handoff failure: behave as if nothing were parked,
-    // forcing the caller onto the allocator path. Parked shards stay
-    // parked, so nothing leaks — a later (un-injected) steal still
-    // adopts them.
-    if faultpoint::fire("scx.pool.steal_fail") {
-        return None;
-    }
-    let Shard(mut blocks) = keyed(&mut parked().lock().unwrap(), layout).pop()?;
-    debug_assert!(!blocks.is_empty(), "parked shards are never empty");
-    let total = blocks.len();
-    let serve = blocks.pop()?;
-    let mut carry = Some(blocks);
-    let spill = POOL
-        .try_with(|pool| {
-            let mut blocks = carry.take().expect("carry set above");
-            let mut pool = pool.borrow_mut();
-            let free = &mut keyed(&mut pool.lists, layout).free;
-            let room = FREE_CAP.saturating_sub(free.len());
-            let spill = blocks.split_off(room.min(blocks.len()));
-            free.append(&mut blocks);
-            spill
-        })
-        // Thread-local gone (teardown): nothing to cache into.
-        .unwrap_or_else(|_| carry.take().unwrap_or_default());
-    // Count only the blocks actually adopted (served + cached); spill
-    // that goes straight back to the allocator is not a handoff.
-    count(Stat::Handoffs, (total - spill.len()) as u64);
-    free_blocks(spill, layout);
-    Some(serve)
 }
 
 /// A retired record awaiting its epoch: the raw block plus the
@@ -271,31 +185,20 @@ unsafe fn drop_data<const M: usize, I>(p: *mut u8) -> Layout {
     Layout::new::<DataRecord<M, I>>()
 }
 
-/// A thread's free list and handoff outbox for one layout.
-#[derive(Default)]
-struct Lists {
-    free: Vec<*mut u8>,
-    /// Overflow blocks awaiting publication as a handoff shard.
-    outbox: Vec<*mut u8>,
-}
-
 struct ThreadPool {
-    lists: Keyed<Lists>,
+    /// Dead blocks past their epoch, per layout.
+    free: Keyed<Vec<*mut u8>>,
     destroy: Vec<Pending>,
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        for (layout, lists) in std::mem::take(&mut self.lists) {
-            // Free blocks hold no record (already destroyed in place)
-            // and are past their epoch: return them to the allocator.
-            free_blocks(lists.free, layout);
-            // A partial outbox is still a perfectly good (short) shard:
-            // publish it so surviving threads can adopt the blocks —
-            // the exact pipeline case where the retiring thread exits
-            // first.
-            if !lists.outbox.is_empty() {
-                park_shard(layout, Shard(lists.outbox));
+        // Free blocks hold no record (already destroyed in place) and
+        // are past their epoch: return them to the allocator.
+        for (layout, free) in std::mem::take(&mut self.free) {
+            for p in free {
+                // SAFETY: pooled blocks are dead and were allocated with `layout`.
+                unsafe { std::alloc::dealloc(p, layout) };
             }
         }
         // Staged blocks may still be visible to pinned peers and this
@@ -312,7 +215,7 @@ impl Drop for ThreadPool {
 thread_local! {
     static POOL: RefCell<ThreadPool> = const {
         RefCell::new(ThreadPool {
-            lists: Vec::new(),
+            free: Vec::new(),
             destroy: Vec::new(),
         })
     };
@@ -418,8 +321,8 @@ pub(crate) fn reset_stats() {
 }
 
 /// Move `value` into a block of its layout — from the thread's free
-/// list when possible, else from a stolen parked shard, else from the
-/// global allocator — counting the hit or miss.
+/// list when possible, else from the global allocator — counting the
+/// hit or miss.
 pub(crate) fn alloc<T>(value: T) -> *mut T {
     // Every record starts with its `info` word.
     const { assert!(size_of::<T>() != 0) };
@@ -431,13 +334,9 @@ pub(crate) fn alloc<T>(value: T) -> *mut T {
     let reused = if faultpoint::fire("scx.pool.alloc_miss") {
         None
     } else {
-        POOL.try_with(|pool| keyed(&mut pool.borrow_mut().lists, layout).free.pop())
+        POOL.try_with(|pool| keyed(&mut pool.borrow_mut().free, layout).pop())
             .ok()
             .flatten()
-            // Local miss: adopt a whole parked shard (one lock, a
-            // shard's worth of future hits) before paying the
-            // allocator.
-            .or_else(|| steal_shard(layout))
     };
     count(
         if reused.is_some() {
@@ -456,9 +355,8 @@ pub(crate) fn alloc<T>(value: T) -> *mut T {
         p
     });
     let p = block as *mut T;
-    // SAFETY: the block is unaliased (fresh, popped from the free list
-    // or adopted from a parked shard, past its retirement epoch) and
-    // has `T`'s layout.
+    // SAFETY: the block is unaliased (fresh, or popped from the free
+    // list past its retirement epoch) and has `T`'s layout.
     unsafe { std::ptr::write(p, value) };
     p
 }
@@ -555,6 +453,39 @@ pub(crate) fn drain_orphans(guard: &Guard) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The calling thread's `stat` count.
+    fn own(stat: Stat) -> u64 {
+        COUNTERS.with(|c| c.0 .0[stat as usize].load(Ordering::Relaxed)) // ord: test reads its own counter
+    }
+
+    /// A thread keeps at most `FREE_CAP` recycled blocks per layout and
+    /// returns the rest to the allocator: of `2 × FREE_CAP` blocks given
+    /// back at once, exactly `FREE_CAP` are reused.
+    #[test]
+    fn the_free_list_keeps_free_cap_blocks_and_frees_the_rest() {
+        // A fresh thread: its free lists start empty, and its counters
+        // are its own whatever the test harness's threading.
+        std::thread::spawn(|| {
+            type Block = [u64; 7];
+            let layout = Layout::new::<Block>();
+            let burst = |n| (0..n).map(|_| alloc::<Block>([0; 7])).collect::<Vec<_>>();
+            for p in burst(2 * FREE_CAP) {
+                // SAFETY: `p` is a dead block of `layout` owned here.
+                unsafe { recycle(p as *mut u8, layout) };
+            }
+            let (hits, misses) = (own(Stat::Hits), own(Stat::Misses));
+            let again = burst(2 * FREE_CAP);
+            assert_eq!(own(Stat::Hits) - hits, FREE_CAP as u64);
+            assert_eq!(own(Stat::Misses) - misses, FREE_CAP as u64);
+            for p in again {
+                // SAFETY: as above; the thread's exit frees them.
+                unsafe { recycle(p as *mut u8, layout) };
+            }
+        })
+        .join()
+        .unwrap();
+    }
 
     #[test]
     fn keyed_lists_keep_one_entry_per_layout() {

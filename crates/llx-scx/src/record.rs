@@ -45,8 +45,9 @@ pub struct DataRecord<const M: usize, I> {
     pub(crate) immutable: I,
     /// Debug builds: lifecycle state, [`LIVE`] from creation until the
     /// one `retire`/`dealloc` swaps it to [`RETIRED`]. A pooled block
-    /// never returns to the allocator, so a second release of one record
-    /// would otherwise go unnoticed and hand the block to two owners.
+    /// is reused without passing through the allocator, so a second
+    /// release of one record would otherwise go unnoticed and hand the
+    /// block to two owners.
     #[cfg(debug_assertions)]
     life: AtomicU8,
 }

@@ -139,8 +139,8 @@ pub struct StatsSnapshot {
     /// Epoch-deferred batches of retired Data-records issued by the
     /// pool.
     pub pool_defers: u64,
-    /// Data-records and blocks handed across threads: orphan adoptions
-    /// plus shard steals.
+    /// Retired Data-records handed across threads: orphans of exited
+    /// threads, adopted by a live one.
     pub pool_handoffs: u64,
 }
 

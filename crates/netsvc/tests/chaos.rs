@@ -51,7 +51,6 @@ const PREFILL: u64 = 128; // prefilled keys per partition
 /// hard wire faults (connection kills, torn frames), frequent soft ones
 /// (refused scans, starved pool, skipped collection ticks).
 const CHAOS_SPEC: &str = "scx.pool.alloc_miss=prob:0.05,\
-                          scx.pool.steal_fail=prob:0.2,\
                           epoch.tick.skip=prob:0.25,\
                           net.conn.drop=prob:0.002,\
                           net.frame.torn=prob:0.002,\

@@ -246,10 +246,12 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `PROPTEST_SEED` | every property test (proptest shim) | perturbs the otherwise deterministic streams |
 ///
 /// The `llx-scx` record pool has no knobs: its free-list capacity
-/// (256) and handoff-shard size (16) are constants, and pooling and the
-/// cross-thread handoff run unconditionally — each won its A/B on the
-/// repository benchmark (numbers in the `llx-scx` `pool` module docs),
-/// so the switches that selected the losing arm were deleted.
+/// (8192 blocks per thread and layout, what one epoch tick of a netsvc
+/// session matures) is a constant, and pooling runs unconditionally —
+/// it won its A/B on the repository benchmark (numbers in the `llx-scx`
+/// `pool` module docs), so the switch that selected the losing arm was
+/// deleted, and so was the cross-thread handoff once blocks matured on
+/// the thread that retired them.
 ///
 /// Example soak:
 /// `LLX_STRESS_MILLIS=5000 LLX_LIN_ROUNDS_SCALE=20 PROPTEST_CASES=4096 cargo test --release`
